@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import glm, kmeans, l2svm, mlogreg
-from repro.algorithms.engine import Engine
+from repro.algorithms.engine import MODES, Engine
 from repro.data import mldata
 
-MODES = ("base", "fused", "gen", "gen_fa", "gen_fnr")
 N, M = 100_000, 10
 
 

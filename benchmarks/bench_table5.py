@@ -7,11 +7,9 @@ AutoEncoder Gen ≈ FA ≈ FNR < Fused ≈ Base (~2x).
 import pytest
 
 from repro.algorithms import als_cg, autoencoder
-from repro.algorithms.engine import Engine
+from repro.algorithms.engine import MODES, Engine
 from repro.data import mldata
 from repro.lina.sparse import CSR
-
-MODES = ("base", "fused", "gen", "gen_fa", "gen_fnr")
 
 
 @pytest.fixture(scope="module")

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import kmeans, l2svm
+from repro.algorithms.engine import MODES
 from repro.data import mldata
 
-MODES = ("base", "fused", "gen", "gen_fa", "gen_fnr")
 N, M, BS = 40_000, 100, 8192
 
 

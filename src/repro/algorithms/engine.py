@@ -9,20 +9,26 @@ systems under test:
 * ``gen_fa``  — fuse-all heuristic (*Gen-FA*),
 * ``gen_fnr`` — fuse-no-redundancy heuristic (*Gen-FNR*).
 
-For the gen modes, compiled plans are cached by DAG *structure* (ops,
-shapes, leaf names), so a loop body is compiled once and re-executed
-with fresh bindings — SystemML's compile-once / plan-cache behaviour.
-Executing a cached plan with new bindings is sound because leaves are
-resolved by name at execution time.
+Every mode turns a DAG into a plan (``plan_basic``, ``plan_fused`` or
+``compile_dag``) and runs it with ``execute_plan``. Plans are cached by
+DAG *structure* (ops, shapes, leaf names), so a loop body is planned and
+compiled once and re-executed with fresh bindings — SystemML's
+compile-once / plan-cache behaviour. Executing a cached plan with new
+bindings is sound because leaves are resolved by name at execution time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.executor import execute_base
-from repro.core.fused_lib import execute_fused
 from repro.core.hop import Expr, Hop, postorder
-from repro.core.pipeline import CodegenContext, CompiledPlan, compile_dag, execute_plan
+from repro.core.pipeline import (
+    CodegenContext,
+    CompiledPlan,
+    compile_dag,
+    execute_plan,
+    plan_basic,
+    plan_fused,
+)
 
 MODES = ("base", "fused", "gen", "gen_fa", "gen_fnr")
 _POLICY = {"gen": "cost", "gen_fa": "fuse_all", "gen_fnr": "fuse_no_redundancy"}
@@ -62,18 +68,25 @@ class Engine:
     def __call__(self, exprs, bindings: dict) -> list:
         """Execute one DAG (list of Exprs or a single Expr); returns one
         value per root."""
+        return self._run(exprs, bindings)
+
+    def _run(self, exprs, bindings: dict):
         single = isinstance(exprs, (Expr, Hop))
         lst = [exprs] if single else list(exprs)
         roots = [e.hop if isinstance(e, Expr) else e for e in lst]
-        if self.mode == "base":
-            out = execute_base(roots, bindings)
-        elif self.mode == "fused":
-            out = execute_fused(roots, bindings)
-        else:
-            key = dag_signature(roots)
-            plan = self._plans.get(key)
-            if plan is None:
-                plan = compile_dag(roots, _POLICY[self.mode], self.ctx)
-                self._plans[key] = plan
-            out = execute_plan(plan, bindings)
+        key = dag_signature(roots)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(roots)
+        out = self._execute_plan(plan, bindings)
         return out[0] if single else out
+
+    def _plan(self, roots: list[Hop]) -> CompiledPlan:
+        if self.mode == "base":
+            return plan_basic(roots)
+        if self.mode == "fused":
+            return plan_fused(roots)
+        return compile_dag(roots, _POLICY[self.mode], self.ctx)
+
+    def _execute_plan(self, plan: CompiledPlan, bindings: dict) -> list:
+        return execute_plan(plan, bindings)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.executor import Value, eval_hop
+from repro.core.executor import Value
 from repro.core.hop import Hop, consumers, postorder
 from repro.lina.compressed import CLAMatrix
 from repro.lina.sparse import CSR
@@ -35,7 +35,7 @@ class HandOp:
     root: Hop
     name: str
     fn: Callable[[dict[int, Value]], Value]  # env-by-hid -> value
-    interior: set[int]  # covered non-root hops (skipped by the executor)
+    interior: set[int]  # covered non-root hops
 
 
 # ------------------------------------------------------------------ kernels
@@ -266,14 +266,6 @@ def plan_hand_fused(roots: list[Hop]) -> dict[int, HandOp]:
 
 def execute_fused(roots: list[Hop], bindings: dict) -> list[Value]:
     """The *Fused* executor: basic operators + hand-coded fused kernels."""
-    hand = plan_hand_fused(roots)
-    skip = set().union(*(op.interior for op in hand.values())) if hand else set()
-    env: dict[int, Value] = {}
-    for h in postorder(roots):
-        if h.hid in skip:
-            continue
-        if h.hid in hand:
-            env[h.hid] = hand[h.hid].fn(env)
-        else:
-            env[h.hid] = eval_hop(h, env, bindings)
-    return [env[r.hid] for r in roots]
+    from repro.core.pipeline import execute_plan, plan_fused
+
+    return execute_plan(plan_fused(roots), bindings)

@@ -8,6 +8,11 @@
    (we execute the operator list directly instead of rewriting the DAG;
    semantically identical and simpler to instrument).
 
+``execute_plan`` is the one interpreter for every mode: *Base* and
+*Fused* are plans too (``plan_basic``, ``plan_fused``), and a backend
+decides where each operator runs (``LocalBackend`` here, the Spark
+backend in ``repro.sparkdist.executor``).
+
 ``CodegenContext`` carries the plan cache and statistics across DAGs —
 one context per "script run", which is what Table 3's per-algorithm
 compile statistics aggregate over.
@@ -22,6 +27,7 @@ from repro.core.codegen import PlanCache
 from repro.core.cost import CostModel, OpSpec
 from repro.core.cplan import build_cplan
 from repro.core.explore import explore
+from repro.core.fused_lib import HandOp, plan_hand_fused
 from repro.core.hop import Hop, postorder
 from repro.core.runtime import SpoofOp, compile_spoof
 from repro.core.select import SelectionResult, select_plans
@@ -38,8 +44,8 @@ class CodegenContext:
 @dataclass
 class CompiledPlan:
     roots: list[Hop]
-    specs: list[OpSpec]
-    spoofs: dict[int, SpoofOp]  # root hid -> compiled fused operator
+    specs: list[OpSpec]  # in execution order
+    spoofs: dict[int, SpoofOp | HandOp]  # root hid -> fused operator
     selection: SelectionResult | None = None
 
     @property
@@ -76,7 +82,9 @@ def compile_dag(
             final_specs.append(spec)
         except (ValueError, KeyError):
             # defensive fallback: execute the covered part as basic ops
-            final_specs.extend(_basic_specs(spec))
+            final_specs.extend(_step(h, {h.hid: h}) for h in spec.covered.values())
+    order = {h.hid: i for i, h in enumerate(postorder(roots))}
+    final_specs.sort(key=lambda s: order[s.root.hid])
     dt = (time.perf_counter() - t0) * 1e3
     ctx.stats.n_dags += 1
     ctx.stats.codegen_ms += dt
@@ -89,30 +97,75 @@ def compile_dag(
     return CompiledPlan(roots=roots, specs=final_specs, spoofs=spoofs, selection=sel)
 
 
-def _basic_specs(spec: OpSpec) -> list[OpSpec]:
-    """Decompose a failed fused spec into per-hop basic operators."""
-    out = []
-    for h in spec.covered.values():
-        inputs = []
-        for i in h.inputs:
-            if i.op != "lit" and all(x.hid != i.hid for x in inputs):
-                inputs.append(i)
-        out.append(
-            OpSpec(
-                root=h,
-                template=None,
-                covered={h.hid: h},
-                entries={},
-                input_hids=[i.hid for i in inputs],
-                input_hops={i.hid: i for i in inputs},
-            )
-        )
-    return out
+def _step(root: Hop, covered: dict[int, Hop]) -> OpSpec:
+    """An operator that is not a generated one: a basic operator
+    (``covered`` is the root alone) or a hand-coded fused operator."""
+    inputs = {
+        i.hid: i
+        for h in covered.values()
+        for i in h.inputs
+        if i.op != "lit" and i.hid not in covered
+    }
+    return OpSpec(
+        root=root,
+        template=None,
+        covered=covered,
+        entries={},
+        input_hids=list(inputs),
+        input_hops=inputs,
+    )
 
 
-def execute_plan(plan: CompiledPlan, bindings: dict) -> list:
-    """Execute the compiled operator list; returns one value per DAG root."""
-    order = {h.hid: i for i, h in enumerate(postorder(plan.roots))}
+def plan_basic(roots: list[Hop]) -> CompiledPlan:
+    """*Base*: one basic operator per hop."""
+    return CompiledPlan(roots, [_step(h, {h.hid: h}) for h in postorder(roots)], {})
+
+
+def plan_fused(roots: list[Hop]) -> CompiledPlan:
+    """*Fused*: the hand-coded operators that ``plan_hand_fused`` matches,
+    and one basic operator per hop they do not cover."""
+    hand = plan_hand_fused(roots)
+    hops = {h.hid: h for h in postorder(roots)}
+    interior = set().union(*(op.interior for op in hand.values()))
+    specs = []
+    for h in hops.values():
+        if h.hid in hand:
+            covered = {h.hid: h, **{i: hops[i] for i in hand[h.hid].interior}}
+            specs.append(_step(h, covered))
+        elif h.hid not in interior:
+            specs.append(_step(h, {h.hid: h}))
+    return CompiledPlan(roots, specs, dict(hand))
+
+
+def run_local(spec: OpSpec, op: SpoofOp | HandOp, env: dict):
+    """The local kernel of a fused operator."""
+    if isinstance(op, HandOp):
+        return op.fn(env)
+    return op.execute([env[h] for h in spec.input_hids])
+
+
+class LocalBackend:
+    """Runs every operator at the driver on numpy / CSR / CLA values."""
+
+    def basic(self, h: Hop, env: dict, bindings: dict):
+        return ex.eval_hop(h, env, bindings)
+
+    def fused(self, spec: OpSpec, op, env: dict):
+        return run_local(spec, op, env)
+
+    def release(self, values: list, keep: list) -> None:
+        pass
+
+
+LOCAL = LocalBackend()
+
+
+def execute_plan(plan: CompiledPlan, bindings: dict, backend=LOCAL) -> list:
+    """Execute the plan's operators in order; returns one value per DAG
+    root. ``backend.fused`` returns None when it has no kernel for the
+    operands' placement; the covered hops then run as basic operators.
+    Afterwards ``backend.release`` gets every value the plan produced,
+    with the roots and the caller's bindings marked to keep."""
     env: dict[int, object] = {}
     for h in postorder(plan.roots):
         if h.op == "leaf":
@@ -121,25 +174,25 @@ def execute_plan(plan: CompiledPlan, bindings: dict) -> list:
             env[h.hid] = bindings[h.name]
         elif h.op == "lit":
             env[h.hid] = float(h.value)
-    needed = {h.hid for h in postorder(plan.roots)}
-    specs = sorted(
-        (s for s in plan.specs if s.root.hid in needed or True),
-        key=lambda s: order.get(s.root.hid, 1 << 30),
-    )
-    for spec in specs:
-        spoof = plan.spoofs.get(spec.root.hid)
-        if spoof is not None and spec.template is not None:
-            ins = [env[h] for h in spec.input_hids]
-            out = spoof.execute(ins)
-            if spec.magg_roots:
-                env[spec.root.hid] = out[0]
-                for r, v in zip(spec.magg_roots, out[1:]):
-                    env[r.hid] = v
-            else:
-                env[spec.root.hid] = out
+    for spec in plan.specs:
+        op = plan.spoofs.get(spec.root.hid)
+        if op is None:
+            env[spec.root.hid] = backend.basic(spec.root, env, bindings)
+            continue
+        out = backend.fused(spec, op, env)
+        if out is None:
+            for h in postorder([spec.root] + spec.magg_roots):
+                if h.hid not in env:
+                    env[h.hid] = backend.basic(h, env, bindings)
+        elif spec.magg_roots:
+            env[spec.root.hid] = out[0]
+            for r, v in zip(spec.magg_roots, out[1:]):
+                env[r.hid] = v
         else:
-            env[spec.root.hid] = ex.eval_hop(spec.root, env, bindings)
-    return [env[r.hid] for r in plan.roots]
+            env[spec.root.hid] = out
+    out = [env[r.hid] for r in plan.roots]
+    backend.release(list(env.values()), out + list(bindings.values()))
+    return out
 
 
 def compile_and_execute(

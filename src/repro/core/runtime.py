@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import vectlib
 from repro.core.codegen import PlanCache, compile_source, render_source
 from repro.core.cplan import CPlan
 from repro.lina.compressed import CLAMatrix
@@ -277,10 +278,7 @@ def _exec_outer(op: SpoofOp, vals: dict):
     w = op.fn(main.values, u[rixv], vmat[cixv], b)
     if cp.variant == "right_mm":
         rmat = _to_dense(vals[cp.meta["right_hid"]])
-        k = rmat.shape[1]
-        out = np.zeros((n, k), dtype=np.float64)
-        np.add.at(out, rixv, np.asarray(w)[:, None] * rmat[cixv])
-        return out
+        return vectlib.outer_right_acc(np.asarray(w), rixv, rmat[cixv], n, rmat.shape[1])
     if cp.variant == "full_agg":
         return float(np.sum(w))
     return CSR(main.indptr, main.indices, np.asarray(w, dtype=np.float64), main.shape)

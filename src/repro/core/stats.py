@@ -1,7 +1,7 @@
 """Codegen statistics counters (feed Table 3 and the plan-cache story)."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -15,7 +15,6 @@ class CodegenStats:
     plans_evaluated: int = 0
     plans_skipped: int = 0
     search_space: int = 0
-    extra: dict = field(default_factory=dict)
 
     def row(self) -> dict:
         return {

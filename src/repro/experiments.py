@@ -15,11 +15,10 @@ from dataclasses import replace
 import numpy as np
 
 from repro.algorithms import als_cg, autoencoder, glm, kmeans, l2svm, mlogreg
-from repro.algorithms.engine import Engine
+from repro.algorithms.engine import MODES, Engine
 from repro.data import mldata
 from repro.lina.sparse import CSR
 
-MODES = ("base", "fused", "gen", "gen_fa", "gen_fnr")
 MODE_LABEL = {
     "base": "Base", "fused": "Fused", "gen": "Gen",
     "gen_fa": "FA", "gen_fnr": "FNR",

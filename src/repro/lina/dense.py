@@ -6,15 +6,7 @@ size/FLOP accounting lives in one place.
 """
 from __future__ import annotations
 
-import numpy as np
-
 DOUBLE_BYTES = 8
-
-
-def random_dense(nrows: int, ncols: int, seed: int = 0, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """Seeded uniform dense matrix in [lo, hi)."""
-    g = np.random.default_rng(seed)
-    return g.random((nrows, ncols)) * (hi - lo) + lo
 
 
 def size_bytes(nrows: int, ncols: int, sparsity: float = 1.0) -> float:

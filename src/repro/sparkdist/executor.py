@@ -1,10 +1,14 @@
 """Hybrid local/distributed execution engine (paper §5.5's regime).
 
-``SparkEngine`` mirrors ``repro.algorithms.engine.Engine`` but bindings
-may contain :class:`RowBlockMatrix` values. Dispatch is type-driven:
-an operator touching a distributed operand runs as a distributed
+``SparkEngine`` is ``repro.algorithms.engine.Engine`` with bindings that
+may contain :class:`RowBlockMatrix` values: it plans every mode the same
+way and runs the plan with the same ``execute_plan``, against a
+:class:`SparkBackend`. The backend places each operator by its operand
+types: an operator touching a distributed operand runs as a distributed
 instruction (one materialized Spark job), everything else runs locally
-at the driver — SystemML's hybrid runtime plans.
+at the driver — SystemML's hybrid runtime plans. After a plan it
+unpersists the distributed intermediates it produced, never the
+caller's inputs.
 
 Gen modes compile with a cost model whose ``local_mem_budget`` reflects
 the driver budget, so plan selection reasons about distributed reads,
@@ -13,23 +17,21 @@ broadcasts, and the Row template's block-size constraint exactly as
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.algorithms.engine import _POLICY, dag_signature
+from repro.algorithms.engine import Engine
 from repro.core import executor as local_ex
-from repro.core.cost import CostModel
-from repro.core.fused_lib import plan_hand_fused
-from repro.core.hop import Expr, Hop, postorder
-from repro.core.pipeline import CodegenContext, CompiledPlan, compile_dag
+from repro.core.cost import CostModel, OpSpec
+from repro.core.fused_lib import HandOp
+from repro.core.hop import Hop
+from repro.core.pipeline import CodegenContext, CompiledPlan, execute_plan, run_local
 from repro.lina.sparse import CSR
 from repro.sparkdist import ops
 from repro.sparkdist.blocked import RowBlockMatrix, zip_reduce
 from repro.sparkdist.fusedexec import execute_dist
 from repro.sparkdist.ops import TransposedRBM, is_dist
-
-MODES = ("base", "fused", "gen", "gen_fa", "gen_fnr")
 
 
 def eval_hop_hybrid(spark, h: Hop, env: dict, bindings: dict):
@@ -150,128 +152,55 @@ def _hand_kernel_dist(spark, op_name: str, hand, env):
                     lambda p, q: p + q,
                 )
             )
-    return None  # no distributed kernel: caller falls back to basic ops
+    return None  # no distributed kernel for this placement
 
 
 @dataclass
-class SparkEngine:
+class SparkBackend:
+    """Places each operator of a plan: a fused operator (hand-coded or
+    generated) runs its local kernel when no operand is distributed, its
+    distributed kernel when one exists for the operands' placement, and
+    otherwise returns None so the plan's covered hops run as basic
+    operators; a basic operator is placed by ``eval_hop_hybrid``."""
+
     spark: object
-    mode: str = "gen"
-    cm: CostModel = field(default_factory=lambda: CostModel(local_mem_budget=48e6))
-    ctx: CodegenContext = None  # type: ignore[assignment]
-    _plans: dict[str, CompiledPlan] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        assert self.mode in MODES, self.mode
-        if self.ctx is None:
-            self.ctx = CodegenContext(cost_model=self.cm)
+    def basic(self, h: Hop, env: dict, bindings: dict):
+        return eval_hop_hybrid(self.spark, h, env, bindings)
 
-    # ------------------------------------------------------------- dispatch
+    def fused(self, spec: OpSpec, op, env: dict):
+        ins = {h: env[h] for h in spec.input_hids}
+        if not any(is_dist(v) for v in ins.values()):
+            return run_local(spec, op, env)
+        if isinstance(op, HandOp):
+            return _hand_kernel_dist(self.spark, op.name, op, env)
+        if isinstance(ins.get(op.cplan.main_hid), RowBlockMatrix) and not any(
+            isinstance(v, TransposedRBM) for v in ins.values()
+        ):
+            return execute_dist(self.spark, op, ins)
+        return None
+
+    def release(self, values: list, keep: list) -> None:
+        """Unpersist the distributed intermediates, never a kept value."""
+        kept = {id(v) for v in keep}
+        for v in {id(v): v for v in values}.values():
+            if isinstance(v, RowBlockMatrix) and id(v) not in kept:
+                v.unpersist()
+
+
+class SparkEngine(Engine):
+    """``Engine`` whose plans run against a :class:`SparkBackend`."""
+
+    def __init__(self, spark, mode: str = "gen", cm: CostModel | None = None,
+                 ctx: CodegenContext | None = None) -> None:
+        self.spark = spark
+        self.cm = cm or CostModel(local_mem_budget=48e6)
+        super().__init__(mode, ctx or CodegenContext(cost_model=self.cm))
+
+    # Its own method rather than the inherited one, so that wrapping
+    # ``Engine.__call__`` (perfbench's tracer does) leaves this one alone.
     def __call__(self, exprs, bindings: dict):
-        single = isinstance(exprs, (Expr, Hop))
-        lst = [exprs] if single else list(exprs)
-        roots = [e.hop if isinstance(e, Expr) else e for e in lst]
-        if self.mode == "base":
-            out = self._execute_basic(roots, bindings)
-        elif self.mode == "fused":
-            out = self._execute_fused(roots, bindings)
-        else:
-            key = dag_signature(roots)
-            plan = self._plans.get(key)
-            if plan is None:
-                plan = compile_dag(roots, _POLICY[self.mode], self.ctx)
-                self._plans[key] = plan
-            out = self._execute_plan(plan, bindings)
-        return out[0] if single else out
+        return self._run(exprs, bindings)
 
-    def _execute_basic(self, roots, bindings, skip=(), hand=None):
-        env: dict[int, object] = {}
-        inters: list[RowBlockMatrix] = []
-        for h in postorder(roots):
-            if h.hid in skip:
-                continue
-            if hand and h.hid in hand:
-                v = _hand_kernel_dist(self.spark, hand[h.hid].name, hand[h.hid], env)
-                if v is None:
-                    try:  # purely local operands: the local hand-coded kernel
-                        v = hand[h.hid].fn(env)
-                    except (AttributeError, TypeError):
-                        for hh in postorder([h]):
-                            if hh.hid not in env:
-                                env[hh.hid] = eval_hop_hybrid(
-                                    self.spark, hh, env, bindings
-                                )
-                        v = env[h.hid]
-                env[h.hid] = v
-            else:
-                env[h.hid] = eval_hop_hybrid(self.spark, h, env, bindings)
-            if isinstance(env[h.hid], RowBlockMatrix) and h not in roots:
-                inters.append(env[h.hid])
-        out = [env[r.hid] for r in roots]
-        for rb in inters:
-            if not any(rb is o for o in out):
-                rb.unpersist()
-        return out
-
-    def _execute_fused(self, roots, bindings):
-        hand = plan_hand_fused(roots)
-        # only skip interiors of patterns that have a distributed kernel
-        # when their input is distributed; local patterns always apply
-        skip: set[int] = set()
-        usable: dict[int, object] = {}
-        for hid, op in hand.items():
-            usable[hid] = op
-            skip |= op.interior
-        return self._execute_basic(roots, bindings, skip=skip, hand=usable)
-
-    def _execute_plan(self, plan: CompiledPlan, bindings):
-        order = {h.hid: i for i, h in enumerate(postorder(plan.roots))}
-        env: dict[int, object] = {}
-        for h in postorder(plan.roots):
-            if h.op == "leaf":
-                env[h.hid] = bindings[h.name]
-            elif h.op == "lit":
-                env[h.hid] = float(h.value)
-        specs = sorted(plan.specs, key=lambda s: order.get(s.root.hid, 1 << 30))
-        inters: list[RowBlockMatrix] = []
-        for spec in specs:
-            spoof = plan.spoofs.get(spec.root.hid)
-            if spoof is not None and spec.template is not None:
-                ins = {h: env[h] for h in spec.input_hids}
-                if any(is_dist(v) for v in ins.values()):
-                    if isinstance(
-                        ins.get(spoof.cplan.main_hid), RowBlockMatrix
-                    ) and not any(
-                        isinstance(v, TransposedRBM) for v in ins.values()
-                    ):
-                        out = execute_dist(self.spark, spoof, ins)
-                    else:
-                        # fused op whose main binding is local but a side is
-                        # distributed: fall back to basic ops over the
-                        # covered subgraph (correctness over fusion)
-                        for hh in postorder([spec.root] + spec.magg_roots):
-                            if hh.hid not in env:
-                                env[hh.hid] = eval_hop_hybrid(
-                                    self.spark, hh, env, bindings
-                                )
-                        continue
-                else:
-                    out = spoof.execute([ins[h] for h in spec.input_hids])
-                if spec.magg_roots:
-                    env[spec.root.hid] = out[0]
-                    for r, v in zip(spec.magg_roots, out[1:]):
-                        env[r.hid] = v
-                else:
-                    env[spec.root.hid] = out
-            else:
-                env[spec.root.hid] = eval_hop_hybrid(
-                    self.spark, spec.root, env, bindings
-                )
-            v = env[spec.root.hid]
-            if isinstance(v, RowBlockMatrix) and spec.root not in plan.roots:
-                inters.append(v)
-        out = [env[r.hid] for r in plan.roots]
-        for rb in inters:
-            if not any(rb is o for o in out):
-                rb.unpersist()
-        return out
+    def _execute_plan(self, plan: CompiledPlan, bindings: dict) -> list:
+        return execute_plan(plan, bindings, SparkBackend(self.spark))

@@ -243,9 +243,25 @@ def test_engine_mmchain_all_modes(spark, mode):
     X, V = H.var("X", n, m), H.var("v", m, 1)
     expr = X.T @ (X @ V)
     eng = SparkEngine(spark, mode)
-    rb = RowBlockMatrix.from_matrix(spark, x, block_rows=BS)
+    rb = RowBlockMatrix.from_matrix(spark, x, block_rows=BS).materialize()
     out = eng(expr, {"X": rb, "v": v})
     np.testing.assert_allclose(np.asarray(out), x.T @ (x @ v), atol=1e-10)
+    # the engine releases its own intermediates, never the caller's input
+    assert rb.df.storageLevel.useMemory
+    rb.unpersist()
+
+
+def test_engine_fused_without_dist_kernel_runs_basic_ops(spark):
+    # tak+* with a local X and a distributed Y has no distributed kernel:
+    # the covered hops run as (hybrid) basic operators
+    n, m = 50, 7
+    x, y = _rand(n, m, 39), _rand(n, m, 40)
+    X, Y = H.var("X", n, m), H.var("Y", n, m)
+    expr = H.sum_(X * Y)
+    yb = RowBlockMatrix.from_matrix(spark, y, block_rows=BS)
+    got = SparkEngine(spark, "fused")(expr, {"X": x, "Y": yb})
+    (ref,) = execute_base([expr.hop], {"X": x, "Y": y})
+    assert float(got) == pytest.approx(float(ref))
 
 
 @pytest.mark.parametrize("mode", ["base", "gen"])
@@ -286,7 +302,7 @@ def test_l2svm_distributed_matches_local(spark, mode):
     np.testing.assert_allclose(got, ref, rtol=1e-8)
 
 
-@pytest.mark.parametrize("mode", ["base", "gen", "gen_fa"])
+@pytest.mark.parametrize("mode", ["base", "fused", "gen", "gen_fa", "gen_fnr"])
 def test_kmeans_distributed_matches_local(spark, mode):
     from repro.algorithms import kmeans
     from repro.algorithms.engine import Engine
