@@ -7,8 +7,10 @@ FLOPs over peak compute, and sparsity-exploiting operators scale their
 estimates by the sparsity of the main (sparse-driver) input.
 
 ``decompose`` turns (memo table, assignment) into the concrete list of
-operators — it is shared between enumeration costing and the final
-fused-operator construction, so what we cost is exactly what we run.
+operators, taking each group's operator from a memoized
+``GroupDecisions``. The same decision function serves enumeration
+costing and the final fused-operator construction, so what we cost is
+exactly what we run.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ class OpSpec:
     input_hops: dict[int, Hop] = field(default_factory=dict)
     sparse_scale: float = 1.0        # sparsity-exploitation factor (<1 = exploiting)
     magg_roots: list[Hop] = field(default_factory=list)  # extra roots (multi-agg)
+    est_cost: float | None = None    # op_cost when chosen by GroupDecisions
 
     @property
     def n_covered(self) -> int:
@@ -237,7 +240,10 @@ def is_distributed(spec: OpSpec, cm: CostModel) -> bool:
 
 def violates_constraints(spec: OpSpec, cm: CostModel) -> bool:
     """Conditional constraints Z: a distributed Row operator requires
-    whole-row access, i.e. ncol(main) <= blocksize (paper §4.1)."""
+    whole-row access, i.e. ncol(main) <= blocksize (paper §4.1); an Outer
+    operator requires a sparse driver to iterate over (paper §3.2)."""
+    if spec.template == "O" and spec.sparse_scale >= 1.0:
+        return True
     if spec.template == "R" and is_distributed(spec, cm):
         main = max(
             spec.input_hops.values(), key=lambda h: h.memory_bytes(), default=None
@@ -276,43 +282,74 @@ def ref_descendants(memo: MemoTable) -> dict[int, frozenset[int]]:
 _TPL_PREF = {"O": 0, "M": 1, "R": 2, "C": 3}
 
 
-def decompose(
-    memo: MemoTable,
-    dag_roots: list[Hop],
-    cut: set[tuple[int, int]],
-    restrict_to: set[int] | None = None,
-    start: set[int] | None = None,
-    choose: str = "cost",
-    _cache: dict | None = None,
-    _desc: dict[int, frozenset[int]] | None = None,
-) -> list[OpSpec]:
-    """Interpret the memo table under materialization decisions ``cut``:
-    the list of operators that would be executed. Starts from the DAG
-    roots (or ``start``) and walks materialized intermediates top-down,
-    choosing per root the cost-best maximal valid entry per template.
+class GroupDecisions:
+    """The operator chosen at each group under a cut, memoized.
 
-    ``_cache``/``_desc`` enable cross-assignment memoization during
-    enumeration: an expansion only depends on the cut edges whose
-    consumer lies in the reference-descendant set of its root."""
-    cm = CostModel()
-    worklist: list[int] = sorted(
-        start if start is not None else {r.hid for r in dag_roots}
-    )
-    done: set[int] = set()
-    specs: list[OpSpec] = []
-    while worklist:
-        hid = worklist.pop()
-        if hid in done:
-            continue
-        done.add(hid)
+    The decision at group ``hid`` — the cost-best (or, for the heuristic
+    policies, best-covering) maximal valid fused operator rooted there, or
+    the basic operator — and its ``op_cost`` depend only on the cut edges
+    whose consumer lies in ``ref_descendants(hid)``: validity is checked
+    on the group's own edges and expansions follow references only. The
+    decision is memoized under that part of the cut, encoded as a bitmask
+    over the edges seen so far, so costing an assignment is a walk of memo
+    hits that rebuilds only the groups whose relevant cut changed (the
+    paper's cost-vector reuse, §4.3). ``restrict_to``, ``choose`` and the
+    cost model are fixed for the object's lifetime."""
+
+    def __init__(
+        self,
+        memo: MemoTable,
+        dag_roots: list[Hop],
+        restrict_to: set[int] | None = None,
+        choose: str = "cost",
+        cm: CostModel | None = None,
+    ) -> None:
+        self.memo = memo
+        self.dag_roots = dag_roots
+        self.restrict_to = restrict_to
+        self.choose = choose
+        self.cm = cm or CostModel()
+        self._desc = ref_descendants(memo)
+        self._bit: dict[tuple[int, int], int] = {}  # cut edge -> bit
+        self._rel: dict[int, int] = {}  # hid -> bits of its relevant edges
+        self._memo: dict[tuple[int, int], OpSpec | None] = {}
+
+    def mask(self, cut: set[tuple[int, int]]) -> int:
+        """``cut`` as a bitmask; an edge gets its bit when first seen."""
+        m = 0
+        for e in cut:
+            b = self._bit.get(e)
+            if b is None:
+                b = self._bit[e] = 1 << len(self._bit)
+                c = e[0]
+                for hid, d in self._desc.items():
+                    if c in d:
+                        self._rel[hid] = self._rel.get(hid, 0) | b
+                if c not in self._desc:
+                    self._rel[c] = self._rel.get(c, 0) | b
+            m |= b
+        return m
+
+    def op(self, hid: int, cut: set[tuple[int, int]], mask: int) -> OpSpec | None:
+        """The operator rooted at ``hid`` (None for leaves and literals);
+        ``mask`` is ``self.mask(cut)``."""
+        key = (hid, mask & self._rel.get(hid, 0))
+        try:
+            return self._memo[key]
+        except KeyError:
+            spec = self._memo[key] = self._decide(hid, cut)
+            return spec
+
+    def _decide(self, hid: int, cut: set[tuple[int, int]]) -> OpSpec | None:
+        memo, cm = self.memo, self.cm
         h = memo.hops.get(hid)
         if h is None:
             # not explored (no group and never touched): basic op over DAG
-            h = _find_hop(dag_roots, hid)
+            h = _find_hop(self.dag_roots, hid)
         if h is None or h.op in ("leaf", "lit"):
-            continue
+            return None
         cands: dict[str, MemoEntry] = {}
-        if restrict_to is None or hid in restrict_to:
+        if self.restrict_to is None or hid in self.restrict_to:
             for e in memo.entries(hid):
                 if not _valid(e, hid, cut):
                     continue
@@ -322,42 +359,51 @@ def decompose(
         best: OpSpec | None = None
         best_score: tuple | None = None
         for e in cands.values():
-            key = None
-            spec = c = None
-            if _cache is not None and _desc is not None:
-                rel = frozenset(
-                    (ci, t) for (ci, t) in cut if ci in _desc.get(hid, (hid,))
-                )
-                key = (hid, e, rel)
-                hit = _cache.get(key)
-                if hit is not None:
-                    spec, c = hit
-            if c is None:
-                spec = _op_from_entry(memo, h, e, cut)
-                if spec.n_covered <= 1 or violates_constraints(spec, cm):
-                    c = float("inf")
-                    spec = None  # type: ignore[assignment]
-                else:
-                    c = op_cost(spec, cm, is_distributed(spec, cm))
-                if key is not None:
-                    _cache[key] = (spec, c)
-            if spec is None:
+            spec = _op_from_entry(memo, h, e, cut)
+            if spec.n_covered <= 1 or violates_constraints(spec, cm):
                 continue
-            if choose == "cost":
-                score = (c,)
+            spec.est_cost = op_cost(spec, cm, is_distributed(spec, cm))
+            if self.choose == "cost":
+                score = (spec.est_cost,)
             else:
                 # heuristic policies pick maximal fusion (coverage), which
                 # is what lets an overlapping Row plan destroy the
                 # sparsity-exploiting Outer template (paper §5.4)
-                score = (-spec.n_covered, _TPL_PREF[spec.template], c)
+                score = (-spec.n_covered, _TPL_PREF[spec.template], spec.est_cost)
             if best_score is None or score < best_score:
                 best, best_score = spec, score
         if best is None:
             best = _basic_op(h)
-        specs.append(best)
-        for i in best.input_hids:
-            ih = best.input_hops[i]
-            if ih.op not in ("leaf", "lit") and i not in done:
+            best.est_cost = op_cost(best, cm, is_distributed(best, cm))
+        return best
+
+
+def decompose(
+    decisions: GroupDecisions,
+    cut: set[tuple[int, int]],
+    start: set[int] | None = None,
+) -> list[OpSpec]:
+    """Interpret the memo table under materialization decisions ``cut``:
+    the list of operators that would be executed. Starts from the DAG
+    roots (or ``start``) and walks materialized intermediates top-down,
+    taking each group's operator from ``decisions``."""
+    mask = decisions.mask(cut)
+    worklist: list[int] = sorted(
+        start if start is not None else {r.hid for r in decisions.dag_roots}
+    )
+    done: set[int] = set()
+    specs: list[OpSpec] = []
+    while worklist:
+        hid = worklist.pop()
+        if hid in done:
+            continue
+        done.add(hid)
+        spec = decisions.op(hid, cut, mask)
+        if spec is None:
+            continue
+        specs.append(spec)
+        for i in spec.input_hids:
+            if i not in done and spec.input_hops[i].op not in ("leaf", "lit"):
                 worklist.append(i)
     return specs
 
@@ -400,8 +446,8 @@ def combine_multi_aggregates(specs: list[OpSpec]) -> list[OpSpec]:
         if len(group) == 1:
             combined.append(a)
             continue
-        # non-destructive merge: specs may be shared via the enumeration
-        # expansion cache, so build a fresh combined OpSpec
+        # non-destructive merge: specs are shared via the memoized group
+        # decisions, so build a fresh combined OpSpec (est_cost unset)
         head = OpSpec(
             root=group[0].root,
             template="M",
@@ -426,9 +472,11 @@ def combine_multi_aggregates(specs: list[OpSpec]) -> list[OpSpec]:
 
 # --------------------------------------------------- partition-level costing
 class PartitionCoster:
-    """GETPLANCOST with loop-invariant state hoisted out of the per-q path
-    (the paper's cost-vector memoization analogue): consumers, forced
-    materializations, and the start set are computed once per partition."""
+    """GETPLANCOST with loop-invariant state hoisted out of the per-q path:
+    consumers, forced materializations and the start set are computed once
+    per partition, and the group decisions (with their costs) are memoized
+    across assignments, so only freshly combined multi-aggregates are
+    recosted."""
 
     def __init__(
         self,
@@ -437,9 +485,7 @@ class PartitionCoster:
         dag_roots: list[Hop],
         cm: CostModel | None = None,
     ) -> None:
-        self.memo = memo
         self.part = part
-        self.dag_roots = dag_roots
         self.cm = cm or CostModel()
         cons = consumers(dag_roots)
         forced = {
@@ -449,25 +495,15 @@ class PartitionCoster:
             or any(c.hid not in part.nodes for c in cons.get(n, []))
         }
         self.start = set(part.roots) | forced
+        self.decisions = GroupDecisions(memo, dag_roots, part.nodes, "cost", self.cm)
         self._cache: dict[frozenset, float] = {}
-        self._expansions: dict = {}
-        self._desc = ref_descendants(memo)
 
     def cost(self, cut: set[tuple[int, int]]) -> float:
         key = frozenset(cut)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        specs = decompose(
-            self.memo,
-            self.dag_roots,
-            cut,
-            restrict_to=self.part.nodes,
-            start=self.start,
-            _cache=self._expansions,
-            _desc=self._desc,
-        )
-        specs = combine_multi_aggregates(specs)
+        specs = combine_multi_aggregates(decompose(self.decisions, cut, self.start))
         total = 0.0
         for s in specs:
             # partition-external operators are costed in their own
@@ -475,7 +511,10 @@ class PartitionCoster:
             # already part of the consuming operator's T̂ʳ (paper: I_i)
             if s.root.hid not in self.part.nodes:
                 continue
-            total += op_cost(s, self.cm, is_distributed(s, self.cm))
+            c = s.est_cost
+            if c is None:
+                c = op_cost(s, self.cm, is_distributed(s, self.cm))
+            total += c
         self._cache[key] = total
         return total
 

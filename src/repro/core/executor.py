@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import vectlib as vl
 from repro.core.hop import Hop, postorder
 from repro.lina.compressed import CLAMatrix
 from repro.lina.sparse import CSR
@@ -56,7 +57,7 @@ _BINARY_FN = {
     "b(-)": np.subtract,
     "b(*)": np.multiply,
     "b(/)": np.divide,
-    "b(^)": np.power,
+    "b(^)": vl.power,
     "b(min)": np.minimum,
     "b(max)": np.maximum,
     "b(!=)": lambda a, b: (a != b).astype(np.float64),
@@ -82,7 +83,7 @@ def _eval_binary(op: str, a: Value, b: Value) -> Value:
             if bd.shape == (1, 1):
                 return a.scale_values(lambda v: v * float(bd[0, 0]))
         if op == "b(^)" and isinstance(b, (float, int)):
-            return a.scale_values(lambda v: v ** float(b))
+            return vl.pow_(a, float(b))
         if op == "b(!=)" and isinstance(b, (float, int)) and float(b) == 0.0:
             return a.scale_values(lambda v: (v != 0).astype(np.float64))
         a = a.to_dense()

@@ -81,7 +81,9 @@ def compile_dag(
             )
             final_specs.append(spec)
         except (ValueError, KeyError):
-            # defensive fallback: execute the covered part as basic ops
+            # defensive, counted fallback: execute the covered part as
+            # basic ops (the plan that runs is not the one costed)
+            ctx.stats.n_fallbacks += 1
             final_specs.extend(_step(h, {h.hid: h}) for h in spec.covered.values())
     order = {h.hid: i for i, h in enumerate(postorder(roots))}
     final_specs.sort(key=lambda s: order[s.root.hid])

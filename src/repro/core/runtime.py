@@ -136,21 +136,16 @@ def _exec_cellwise(op: SpoofOp, vals: dict):
     sides = [vals[h] for h in cp.side_hids]
     n_out = cp.n_outputs
 
-    # ---- compressed fast path: single input, sparse-safe aggregate ------
-    if (
-        isinstance(main, CLAMatrix)
-        and cp.sparse_safe
-        and not sides
-        and cp.variant in ("full_agg", "col_agg")
-    ):
-        outs = []
-        for k in range(n_out):
-            f = lambda d, k=k: _nth(op.fn(d, []), k, n_out)
-            if cp.variant == "full_agg":
-                outs.append(main.agg_cellwise_distinct(f))
-            else:
-                outs.append(main.col_agg_cellwise_distinct(f).reshape(1, -1))
-        return outs[0] if n_out == 1 else outs
+    # ---- compressed fast path: single input, sparse-safe full aggregate -
+    # (col_agg is never sparse-safe); one call per column dictionary
+    # yields every output's Σ_distinct f(value) * count(value)
+    if isinstance(main, CLAMatrix) and cp.sparse_safe and not sides and cp.variant == "full_agg":
+        totals = [0.0] * n_out
+        for c in main.columns:
+            res = op.fn(c.dictionary, [])
+            for k, w in enumerate(res if n_out > 1 else (res,)):
+                totals[k] += float(w @ c.counts)
+        return totals[0] if n_out == 1 else totals
     if isinstance(main, CLAMatrix):
         main = main.decompress()
 
@@ -204,10 +199,6 @@ def _exec_cellwise(op: SpoofOp, vals: dict):
         else:
             outs.append(np.vstack(parts[k]))
     return outs[0] if n_out == 1 else outs
-
-
-def _nth(res, k: int, n_out: int):
-    return res[k] if n_out > 1 else res
 
 
 # ------------------------------------------------------------------- Row

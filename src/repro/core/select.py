@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.cost import CostModel, OpSpec, combine_multi_aggregates, decompose
+from repro.core.cost import (
+    CostModel,
+    GroupDecisions,
+    OpSpec,
+    combine_multi_aggregates,
+    decompose,
+)
 from repro.core.enumerate import EnumStats, mpskip_enum
 from repro.core.hop import Hop
 from repro.core.memo import MemoTable
@@ -63,13 +69,9 @@ def select_plans(
             stats=stats,
         )
         cut |= invalid_edges(part.points, q)
-    specs = decompose(
-        memo,
-        dag_roots,
-        cut,
-        choose="cost" if policy == "cost" else "coverage",
-    )
-    specs = combine_multi_aggregates(specs)
+    choose = "cost" if policy == "cost" else "coverage"
+    decisions = GroupDecisions(memo, dag_roots, choose=choose, cm=cm)
+    specs = combine_multi_aggregates(decompose(decisions, cut))
     return SelectionResult(
         specs=specs,
         cut=cut,

@@ -33,10 +33,17 @@ def mul(x, y):
         return mul(y, x)
     return np.multiply(_dense(x), _dense(y))
 def div(x, y): return np.divide(_dense(x), _dense(y))
+def power(x, y):
+    """Dense ``x ** y``. An exponent of 2 (a scalar, or a size-1 array of
+    no higher rank than ``x``) is strength-reduced to ``x * x``, which
+    equals ``np.power`` up to the last ULP and is ~30x faster."""
+    if np.size(y) == 1 and np.ndim(y) <= np.ndim(x) and float(np.ravel(y)[0]) == 2.0:
+        return np.multiply(x, x)
+    return np.power(x, y)
 def pow_(x, y):
     if isinstance(x, CSR) and np.isscalar(y):
-        return x.scale_values(lambda v: v ** float(y))
-    return np.power(_dense(x), _dense(y))
+        return x.scale_values(lambda v: power(v, float(y)))
+    return power(_dense(x), _dense(y))
 def min_(x, y): return np.minimum(_dense(x), _dense(y))
 def max_(x, y): return np.maximum(_dense(x), _dense(y))
 def neq(x, y):

@@ -141,3 +141,35 @@ def test_table2_configurations():
     assert als_cg.ALSCGConfig().rank == 20
     ae = autoencoder.AutoEncoderConfig()
     assert ae.batch == 512 and ae.h1 == 500 and ae.h2 == 2
+
+
+# ------------------------------------------------------ what runs is costed
+def _small_table2_runs() -> dict:
+    X = mldata.mnist_like(300, seed=10)
+    Xd = X.to_dense()
+    y = mldata.binary_labels(X)
+    return {
+        "L2SVM": lambda e: l2svm.run(e, X, y, l2svm.L2SVMConfig(max_iter=1)),
+        "MLogreg": lambda e: mlogreg.run(
+            e, X, mldata.onehot_labels(300, 2, seed=11)[:, :1],
+            mlogreg.MLogregConfig(k=2, max_iter=1, max_inner=1)),
+        "GLM": lambda e: glm.run(
+            e, X, (y > 0).astype(np.float64), glm.GLMConfig(max_iter=1, max_inner=1)),
+        "KMeans": lambda e: kmeans.run(e, Xd, kmeans.KMeansConfig(k=5, max_iter=1)),
+        "ALS-CG": lambda e: als_cg.run(
+            e, mldata.netflix_like(300, 200, seed=12),
+            als_cg.ALSCGConfig(rank=4, max_iter=1, max_inner=1)),
+        "AutoEncoder": lambda e: autoencoder.run(
+            e, Xd[:256], autoencoder.AutoEncoderConfig(h1=50, h2=2, batch=128)),
+    }
+
+
+@pytest.mark.parametrize("mode", ["gen", "gen_fa", "gen_fnr"])
+@pytest.mark.parametrize("algo", list(_small_table2_runs()))
+def test_no_fallback_to_basic_ops(algo, mode):
+    """Every fused operator selection picks must compile: the optimizer
+    runs exactly the plan it costed, with no basic-op fallback."""
+    e = Engine(mode)
+    _small_table2_runs()[algo](e)
+    assert e.ctx.stats.n_dags >= 1
+    assert e.ctx.stats.n_fallbacks == 0

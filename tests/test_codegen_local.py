@@ -111,6 +111,31 @@ def test_cell_compressed_sum_x2():
     _check(expr, {"X": CLAMatrix.compress(a)})
 
 
+def test_magg_compressed_evaluates_each_dictionary_once():
+    # two full aggregates over one CLA input: one genexec call per column
+    # dictionary serves both outputs
+    n, m = 400, 6
+    a = np.round(_rand(n, m, 18), 2)
+    X = H.var("X", n, m)
+    roots = [H.sum_(X * X).hop, H.sum_(X * 3.0).hop]
+    plan = compile_dag(roots)
+    (op,) = plan.spoofs.values()
+    assert op.cplan.template == "M" and op.cplan.n_outputs == 2
+    C = CLAMatrix.compress(a)
+    fn, calls = op.fn, []
+    op._fn = lambda d, b: calls.append(d) or fn(d, b)
+    got = execute_plan(plan, {"X": C})
+    assert len(calls) == m
+    # bit-identical to aggregating each output over the dictionaries alone
+    out_hids = [op.cplan.root.hid] + [r.hid for r in op.cplan.magg_roots]
+    per_output = {
+        hid: C.agg_cellwise_distinct(lambda d, k=k: fn(d, [])[k])
+        for k, hid in enumerate(out_hids)
+    }
+    assert got == [per_output[r.hid] for r in roots]
+    np.testing.assert_allclose(got, execute_base(roots, {"X": a}), rtol=1e-12)
+
+
 # ------------------------------------------------------------ MAgg template
 @pytest.mark.parametrize("policy", POLICIES)
 def test_multi_aggregate_shared_input(policy):

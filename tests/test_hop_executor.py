@@ -210,3 +210,44 @@ def test_compressed_decompress_on_general_op():
     C = CLAMatrix.compress(a)
     X = H.var("X", 50, 4)
     np.testing.assert_allclose(execute_single(H.exp(X), {"X": C}), np.exp(a))
+
+
+# ------------------------------------------------------ ^2 strength reduction
+def _pow_cases():
+    from repro.core import vectlib as vl
+    from repro.core.executor import _eval_binary
+
+    return {
+        "vectlib": vl.pow_,
+        "executor": lambda x, y: _eval_binary("b(^)", x, y),
+    }
+
+
+@pytest.mark.parametrize("path", ["vectlib", "executor"])
+@pytest.mark.parametrize("exponent", [2.0, 2, np.array([[2.0]]), 3.0, 0.5])
+def test_pow_matches_np_power_dense(path, exponent):
+    x = _rand(64, 7, 40)
+    out = _pow_cases()[path](x, exponent)
+    assert isinstance(out, np.ndarray) and out.shape == x.shape
+    np.testing.assert_allclose(out, np.power(x, exponent), rtol=1e-15, atol=0)
+    if float(np.ravel(exponent)[0]) == 2.0:
+        assert np.array_equal(out, x * x)  # strength-reduced
+
+
+@pytest.mark.parametrize("path", ["vectlib", "executor"])
+@pytest.mark.parametrize("exponent", [2.0, 3.0])
+def test_pow_matches_np_power_csr(path, exponent):
+    a = _rand(50, 9, 41)
+    a[a < 0.7] = 0.0
+    out = _pow_cases()[path](CSR.from_dense(a), exponent)
+    assert isinstance(out, CSR) and out.shape == a.shape
+    np.testing.assert_allclose(out.to_dense(), np.power(a, exponent), rtol=1e-15, atol=0)
+    if exponent == 2.0:
+        assert np.array_equal(out.to_dense(), a * a)  # strength-reduced
+
+
+def test_pow_scalar_operands_keep_their_shape():
+    from repro.core import vectlib as vl
+
+    assert vl.power(3.0, 2.0) == 9.0
+    assert np.shape(vl.power(3.0, np.array([[2.0]]))) == (1, 1)

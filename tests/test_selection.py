@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import hop as H
-from repro.core.cost import CostModel, partition_cost, flops, flops_dense
+from repro.core import enumerate as enum_mod
+from repro.core.cost import (
+    CostModel,
+    PartitionCoster,
+    flops,
+    flops_dense,
+    partition_cost,
+)
 from repro.core.enumerate import EnumStats, brute_force, mpskip_enum
 from repro.core.explore import explore
 from repro.core.partitions import analyze_partitions, find_cut_sets, invalid_edges
@@ -238,3 +245,65 @@ def test_cost_policy_never_worse_than_heuristics():
             c_fnr = partition_cost(memo, p, roots, fnr_cut, cm)
             assert c_opt <= c_fa + 1e-12
             assert c_opt <= c_fnr + 1e-12
+
+
+# ------------------------------------------------- memoized group decisions
+@pytest.fixture(scope="module")
+def gen_dags():
+    """Every HOP DAG Gen compiles for the six Table-2 algorithms."""
+    from repro.algorithms import engine
+    from tests.test_algorithms import _small_table2_runs
+
+    dags = []
+    orig = engine.compile_dag
+
+    def capture(roots, policy, ctx):
+        dags.append(roots)
+        return orig(roots, policy, ctx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "compile_dag", capture)
+        for run in _small_table2_runs().values():
+            run(engine.Engine("gen"))
+    return dags
+
+
+def test_memoized_costing_equals_fresh_costing(gen_dags):
+    rng = np.random.default_rng(0)
+    largest = 0
+    for roots in gen_dags:
+        memo = explore(roots)
+        for p in analyze_partitions(memo, roots):
+            m = len(p.points)
+            largest = max(largest, m)
+            if m <= 10:
+                qs = [[(j >> k) & 1 == 1 for k in range(m)] for j in range(1 << m)]
+            else:
+                qs = list(rng.random((256, m)) < 0.5)
+            coster = PartitionCoster(memo, p, roots)
+            for q in qs:
+                cut = invalid_edges(p.points, q)
+                assert coster.cost(cut) == partition_cost(memo, p, roots, cut)
+    assert largest > 10  # AutoEncoder's partition exercises the sampled path
+
+
+def _spec_keys(sel):
+    return [(s.root.hid, s.template, sorted(s.covered)) for s in sel.specs]
+
+
+def test_select_plans_same_with_unshared_coster(gen_dags, monkeypatch):
+    class Unshared:
+        """A fresh coster, and so a fresh decision memo, per assignment."""
+
+        def __init__(self, *args):
+            self.args = args
+
+        def cost(self, cut):
+            return PartitionCoster(*self.args).cost(cut)
+
+    shared = []
+    for roots in gen_dags:
+        shared.append(_spec_keys(select_plans(explore(roots), roots, "cost")))
+    monkeypatch.setattr(enum_mod, "PartitionCoster", Unshared)
+    for roots, keys in zip(gen_dags, shared):
+        assert _spec_keys(select_plans(explore(roots), roots, "cost")) == keys
