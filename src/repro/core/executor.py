@@ -97,40 +97,15 @@ def _eval_binary(op: str, a: Value, b: Value) -> Value:
 
 
 def _eval_agg(op: str, x: Value) -> Value:
-    if isinstance(x, CSR):
-        if op == "ua(+)":
-            return x.sum()
-        if op == "ua(R+)":
-            return x.row_sums().reshape(-1, 1)
-        if op == "ua(C+)":
-            return x.col_sums().reshape(1, -1)
-        x = x.to_dense()
+    if op not in vl.AGG:
+        raise ValueError(op)
     if isinstance(x, CLAMatrix):
         if op == "ua(+)":
             return x.agg_cellwise_distinct(lambda v: v)
         if op == "ua(C+)":
             return x.col_agg_cellwise_distinct(lambda v: v).reshape(1, -1)
         x = x.decompress()
-    x = _as2d(x)
-    if op == "ua(+)":
-        return float(x.sum())
-    if op == "ua(R+)":
-        return x.sum(axis=1, keepdims=True)
-    if op == "ua(C+)":
-        return x.sum(axis=0, keepdims=True)
-    if op == "ua(max)":
-        return float(x.max())
-    if op == "ua(min)":
-        return float(x.min())
-    if op == "ua(Rmax)":
-        return x.max(axis=1, keepdims=True)
-    if op == "ua(Rmin)":
-        return x.min(axis=1, keepdims=True)
-    if op == "ua(Rimin)":
-        return (x.argmin(axis=1) + 1.0).reshape(-1, 1)  # 1-based like DML
-    if op == "ua(Rimax)":
-        return (x.argmax(axis=1) + 1.0).reshape(-1, 1)
-    raise ValueError(op)
+    return vl.AGG[op](x if isinstance(x, CSR) else _as2d(x))
 
 
 def _eval_mm(a: Value, b: Value) -> Value:
@@ -155,7 +130,9 @@ def eval_hop(h: Hop, env: dict[int, Value], bindings: dict[str, Value]) -> Value
         (x,) = ins
         if isinstance(x, CSR):
             return x.transpose()
-        return np.ascontiguousarray(_as2d(x).T)
+        # a view: the consuming matmult hands it to BLAS as a transpose
+        # flag instead of copying (SystemML's transpose-aware matmult)
+        return _as2d(x).T
     if h.op == "rix":
         (x,) = ins
         c1, c2 = h.meta["c1"], h.meta["c2"]

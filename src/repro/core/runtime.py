@@ -186,9 +186,9 @@ def _exec_cellwise(op: SpoofOp, vals: dict):
                 v = {"sum": np.sum, "max": np.max, "min": np.min}[agg_fns[k] or "sum"](w)
                 accs[k] = v if accs[k] is None else _AGG_COMBINE[agg_fns[k] or "sum"](accs[k], v)
             elif cp.variant == "row_agg":
-                parts[k].append(np.sum(w, axis=1).reshape(-1, 1))
+                parts[k].append(vectlib.row_sums(w))
             elif cp.variant == "col_agg":
-                v = np.sum(w, axis=0, keepdims=True)
+                v = vectlib.col_sums(w)
                 accs[k] = v if accs[k] is None else accs[k] + v
             else:
                 parts[k].append(np.asarray(w))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import vectlib as vl
 from repro.core.executor import _BINARY_FN, _UNARY_FN
 from repro.lina.sparse import CSR
 from repro.sparkdist.blocked import RowBlockMatrix, zip_blocks, zip_reduce
@@ -161,44 +162,20 @@ def _tx_local(X: RowBlockMatrix, bc, bs: int):
     return acc
 
 
+# how block partials of a full or column aggregate combine
+_COMBINE = {"ua(+)": np.add, "ua(max)": np.maximum, "ua(min)": np.minimum, "ua(C+)": np.add}
+
+
 def aggregate(spark, op: str, a: RowBlockMatrix):
-    if op == "ua(+)":
-        return float(
-            a.reduce_blocks(
-                lambda x: x.sum() if isinstance(x, CSR) else float(_dense(x).sum()),
-                lambda p, q: p + q,
-            )
-        )
+    """Aggregate per row block with the local kernels of ``vectlib.AGG``:
+    full and column aggregates combine the block partials, row
+    aggregates stay distributed."""
+    kernel = vl.AGG[op]
     if op == "ua(C+)":
-        return a.reduce_blocks(
-            lambda x: (
-                x.col_sums().reshape(1, -1)
-                if isinstance(x, CSR)
-                else _dense(x).sum(axis=0, keepdims=True)
-            ),
-            lambda p, q: p + q,
-        )
-    if op in ("ua(max)", "ua(min)"):
-        fn = np.maximum if op == "ua(max)" else np.minimum
-        red = (lambda x: float(_dense(x).max())) if op == "ua(max)" else (
-            lambda x: float(_dense(x).min())
-        )
-        return float(a.reduce_blocks(red, lambda p, q: float(fn(p, q))))
-    # row-wise aggregates stay distributed
-    row_fns = {
-        "ua(R+)": lambda x: (
-            x.row_sums().reshape(-1, 1)
-            if isinstance(x, CSR)
-            else _dense(x).sum(axis=1, keepdims=True)
-        ),
-        "ua(Rmax)": lambda x: _dense(x).max(axis=1, keepdims=True),
-        "ua(Rmin)": lambda x: _dense(x).min(axis=1, keepdims=True),
-        "ua(Rimin)": lambda x: (_dense(x).argmin(axis=1) + 1.0).reshape(-1, 1),
-        "ua(Rimax)": lambda x: (_dense(x).argmax(axis=1) + 1.0).reshape(-1, 1),
-    }
-    if op in row_fns:
-        return a.map_blocks(row_fns[op], ncols_out=1)
-    raise ValueError(op)
+        return a.reduce_blocks(kernel, _COMBINE[op])
+    if op in _COMBINE:
+        return float(a.reduce_blocks(kernel, _COMBINE[op]))
+    return a.map_blocks(kernel, ncols_out=1)
 
 
 def rix(spark, a: RowBlockMatrix, c1: int, c2: int):

@@ -251,3 +251,21 @@ def test_pow_scalar_operands_keep_their_shape():
 
     assert vl.power(3.0, 2.0) == 9.0
     assert np.shape(vl.power(3.0, np.array([[2.0]]))) == (1, 1)
+
+
+# ------------------------------------------------- transpose folded into mm
+def test_base_transpose_is_a_view_folded_into_matmult():
+    x, y = _rand(300, 10, 50), _rand(300, 1, 51)
+    X, Y = H.var("X", 300, 10), H.var("y", 300, 1)
+    tx_val, out = execute_base([X.T.hop, (X.T @ Y).hop], {"X": x, "y": y})
+    assert np.shares_memory(tx_val, x)  # t(X) is never copied
+    assert np.array_equal(out, x.T @ y)
+
+
+def test_base_transpose_of_csr_stays_csr():
+    a = _rand(40, 6, 52)
+    a[a < 0.6] = 0.0
+    X = H.var("X", 40, 6, sparsity=0.4)
+    out = execute_single(X.T, {"X": CSR.from_dense(a)})
+    assert isinstance(out, CSR)
+    np.testing.assert_array_equal(out.to_dense(), a.T)

@@ -93,19 +93,24 @@ def test_matmult_tsmm(spark):
 
 
 def test_aggregates(spark):
-    a = _rand(47, 6, 13)
-    ra = RowBlockMatrix.from_matrix(spark, a, block_rows=BS)
-    assert ops.aggregate(spark, "ua(+)", ra) == pytest.approx(a.sum())
-    np.testing.assert_allclose(
-        ops.aggregate(spark, "ua(C+)", ra), a.sum(0, keepdims=True)
-    )
-    np.testing.assert_allclose(
-        ops.aggregate(spark, "ua(R+)", ra).to_numpy(), a.sum(1, keepdims=True)
-    )
-    np.testing.assert_allclose(
-        ops.aggregate(spark, "ua(Rimin)", ra).to_numpy(),
-        (a.argmin(1) + 1.0).reshape(-1, 1),
-    )
+    # a narrow and a wide width: both sides of vectlib.NARROW_COLS
+    for m in (6, 40):
+        a = _rand(47, m, 13)
+        ra = RowBlockMatrix.from_matrix(spark, a, block_rows=BS)
+        assert ops.aggregate(spark, "ua(+)", ra) == pytest.approx(a.sum())
+        np.testing.assert_allclose(
+            ops.aggregate(spark, "ua(C+)", ra), a.sum(0, keepdims=True)
+        )
+        np.testing.assert_allclose(
+            ops.aggregate(spark, "ua(R+)", ra).to_numpy(), a.sum(1, keepdims=True)
+        )
+        np.testing.assert_allclose(
+            ops.aggregate(spark, "ua(Rimin)", ra).to_numpy(),
+            (a.argmin(1) + 1.0).reshape(-1, 1),
+        )
+        np.testing.assert_array_equal(
+            ops.aggregate(spark, "ua(Rmax)", ra).to_numpy(), a.max(1, keepdims=True)
+        )
 
 
 def test_rix(spark):
