@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.core import vectlib as vl
 from repro.core.cplan import CPlan
 from repro.core.hop import Hop
 
@@ -30,12 +31,7 @@ _UN_FN = {
     "u(abs)": "vl.abs_", "u(sign)": "vl.sign", "u(-)": "vl.neg",
     "u(sigmoid)": "vl.sigmoid",
 }
-_ROW_AGG_FN = {
-    "ua(R+)": "vl.row_sums", "ua(Rmax)": "vl.row_maxs", "ua(Rmin)": "vl.row_mins",
-    "ua(Rimin)": "vl.row_imins", "ua(Rimax)": "vl.row_imaxs",
-    "ua(C+)": "vl.col_sums", "ua(+)": "vl.sum_all", "ua(max)": "vl.max_all",
-    "ua(min)": "vl.min_all",
-}
+_ROW_AGG_FN = {op: "vl." + fn.__name__ for op, fn in vl.AGG.items()}
 
 
 def _name_map(cplan: CPlan) -> dict[int, str]:
@@ -194,8 +190,6 @@ def compile_source(src: str):
     """Compile a genexec source string into a callable (the janino-analogue
     fast path: direct ``compile``+``exec`` into the running interpreter)."""
     import numpy as np
-
-    from repro.core import vectlib as vl
 
     ns: dict = {"vl": vl, "np": np}
     code = compile(src, "<genexec>", "exec")

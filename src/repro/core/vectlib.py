@@ -86,13 +86,6 @@ def tmm_acc(a, y):
     return a.T @ _dense(y)
 
 
-# Widest dense matrix whose row min/max runs as a column loop of
-# np.minimum/np.maximum. The loop is ~5x faster than numpy's axis-1
-# reduce at 5 columns but slower from 16 columns on (crossover measured
-# on 250k- and 1M-row float64 matrices, 4-core x86 VM).
-NARROW_COLS = 15
-
-
 def _gemv_ok(x) -> bool:
     """A float64 matrix with >= 2 columns: row/column sums as BLAS gemv
     against a ones vector (~7x faster than numpy's strided axis sums on
@@ -117,10 +110,11 @@ def col_sums(x):
 
 
 def _row_reduce(fn, x):
-    """``fn.reduce(x, axis=1)`` as an n×1 column, bit-identical to it."""
+    """``fn.reduce(x, axis=1)`` as an n×1 column, bit-identical to it, run
+    as a loop of ``fn`` over columns: ~5x faster than numpy's axis-1 reduce
+    on the narrow matrices the algorithms reduce (KMeans' n×k distances),
+    but ~15x slower at 784 columns, a width no algorithm here reduces."""
     x = _dense(x)
-    if not 0 < x.shape[1] <= NARROW_COLS:
-        return fn.reduce(x, axis=1, keepdims=True)
     out = x[:, 0].copy()
     for j in range(1, x.shape[1]):
         fn(out, x[:, j], out=out)

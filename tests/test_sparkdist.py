@@ -93,7 +93,7 @@ def test_matmult_tsmm(spark):
 
 
 def test_aggregates(spark):
-    # a narrow and a wide width: both sides of vectlib.NARROW_COLS
+    # a narrow and a wide row block
     for m in (6, 40):
         a = _rand(47, m, 13)
         ra = RowBlockMatrix.from_matrix(spark, a, block_rows=BS)
