@@ -1,8 +1,10 @@
 """Table 6 benchmark: distributed algorithms over row-block DataFrames,
 one benchmark per (algorithm, mode) on a D200m-lite dense dataset.
 
-Expected shape (paper Table 6): Gen ≪ Fused/Base; the fuse-all heuristic
-loses ground (broadcast overhead of eagerly fused vector side inputs).
+Paper Table 6: Gen ≪ Fused/Base; the fuse-all heuristic loses ground
+(broadcast overhead of eagerly fused vector side inputs). Measured
+ordering on D200m-lite (EXPERIMENTS.md Table 6, two runs): L2SVM
+FNR < FA < Gen < Fused < Base; KMeans FNR ≈ Gen < Fused ≈ FA ≈ Base.
 Single-round pedantic benchmarks — distributed runs are seconds each.
 """
 import numpy as np

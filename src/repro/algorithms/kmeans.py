@@ -54,7 +54,7 @@ def run(engine, X, cfg: KMeansConfig | None = None, init_C=None) -> dict:
     obj = H.sum_(H.row_mins(D))
     iter_dag = [Craw, counts, obj]
 
-    rowx2_v = engine(rowx2, {"X": X})  # stays distributed for RBM inputs
+    rowx2_v = engine(rowx2, {"X": X})  # n×1: local even for RBM inputs
     objs = []
     for _ in range(cfg.max_iter):
         Craw_v, counts_v, obj_v = engine(

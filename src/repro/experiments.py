@@ -212,7 +212,8 @@ def table6_rows(
     block_rows: int = 8192,
 ) -> list[dict]:
     """Runtime of distributed algorithms (paper Table 6): X and the label
-    vector live as row-block DataFrames; vectors stay at the driver."""
+    vectors live as row-block DataFrames; the engine collects results
+    narrower than X (such as ``X %*% w``) to the driver."""
     from repro.sparkdist.blocked import RowBlockMatrix
     from repro.sparkdist.executor import SparkEngine
 

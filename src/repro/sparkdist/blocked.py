@@ -7,10 +7,12 @@ restricted to row-wise blocking (all Table-6 algorithms satisfy the Row
 template's distributed constraint ``ncol(X) ≤ B_c``, so a single block
 spans full rows).
 
-Per the paper's runtime model, every *distributed instruction*
-materializes its output (persist + count); fusion pays off by executing
-whole chains inside one ``mapInPandas`` pass — exactly the trade-off
-Table 6 measures.
+The block primitives return their result *unmaterialized* (a lazy
+DataFrame). The caller places it, as SystemML's hybrid runtime does:
+``SparkBackend`` either collects a narrow result to the driver
+(``to_numpy``, one job) or keeps it distributed (``materialize``,
+persist + count). Fusion pays off by executing whole chains inside one
+``mapInPandas`` pass, so fewer results are placed at all.
 """
 from __future__ import annotations
 
@@ -102,111 +104,93 @@ class RowBlockMatrix:
         return out
 
     # ------------------------------------------------- generic block mapper
-    def map_blocks(
-        self, fn, ncols_out: int | None = None, materialized: bool = True
-    ) -> "RowBlockMatrix":
+    def map_blocks(self, fn, ncols_out: int | None = None) -> "RowBlockMatrix":
         """Apply ``fn(block) -> block`` per row block via mapInPandas."""
-
-        def gen(it):
-            import pandas as pd
-
-            for pdf in it:
-                out_bid, out_blk = [], []
-                for bid, blk in zip(pdf["bid"], pdf["block"]):
-                    out_bid.append(bid)
-                    out_blk.append(_ser(fn(_deser(bytes(blk)))))
-                yield pd.DataFrame({"bid": out_bid, "block": out_blk})
-
-        df = self.df.mapInPandas(gen, schema=BLOCK_SCHEMA)
-        out = RowBlockMatrix(
+        df = map_rows(self.df, lambda bid, x: fn(x))
+        return RowBlockMatrix(
             df, self.nrows, ncols_out if ncols_out is not None else self.ncols,
             self.block_rows,
         )
-        return out.materialize() if materialized else out
 
     def reduce_blocks(self, fn, combine):
         """fn(block) -> partial; combine(a, b) -> partial. Runs fn per
         block distributed, combines partials on the driver (k ≪ n)."""
-
-        def gen(it):
-            import pandas as pd
-
-            for pdf in it:
-                parts = [fn(_deser(bytes(b))) for b in pdf["block"]]
-                acc = None
-                for p in parts:
-                    acc = p if acc is None else combine(acc, p)
-                if acc is not None:
-                    yield pd.DataFrame({"part": [_ser(acc)]})
-
-        parts = self.df.mapInPandas(gen, schema="part BINARY").collect()
-        acc = None
-        for r in parts:
-            p = _deser(bytes(r["part"]))
-            acc = p if acc is None else combine(acc, p)
-        return acc
+        return reduce_rows(self.df, lambda bid, x: fn(x), combine)
 
 
-def zip_blocks(
-    a: RowBlockMatrix, others: list[RowBlockMatrix], fn,
-    ncols_out: int | None = None, materialized: bool = True,
-) -> RowBlockMatrix:
-    """Join row-aligned distributed matrices on bid and apply
-    ``fn(block_a, *blocks_others) -> block`` (the distributed join path
-    for row-aligned side inputs)."""
-    assert all(o.nrows == a.nrows and o.block_rows == a.block_rows for o in others)
-    df = a.df
-    names = []
-    for i, o in enumerate(others):
-        nm = f"block_{i}"
-        names.append(nm)
-        df = df.join(o.df.withColumnRenamed("block", nm), "bid")
+# ---------------------------------------------- the two block primitives
+def _blocks(pdf, sides):
+    """(bid, block, *side blocks) per row of one pandas batch, iterating
+    columns rather than rows so no pandas Series is built per block."""
+    cols = [pdf["block"], *(pdf[nm] for nm in sides)]
+    for bid, *blks in zip(pdf["bid"], *cols):
+        yield (int(bid), *(_deser(bytes(b)) for b in blks))
+
+
+def map_rows(df: DataFrame, fn, sides: list[str] = ()) -> DataFrame:
+    """One block per row of ``df`` (``bid``, ``block`` and the side block
+    columns ``sides``): ``fn(bid, block, *side_blocks) -> block``."""
 
     def gen(it):
         import pandas as pd
 
         for pdf in it:
-            out_bid, out_blk = [], []
-            for _, row in pdf.iterrows():
-                blks = [_deser(bytes(row[nm])) for nm in names]
-                out_bid.append(row["bid"])
-                out_blk.append(_ser(fn(_deser(bytes(row["block"])), *blks)))
-            yield pd.DataFrame({"bid": out_bid, "block": out_blk})
+            out = [_ser(fn(*row)) for row in _blocks(pdf, sides)]
+            yield pd.DataFrame({"bid": pdf["bid"].to_numpy(), "block": out})
 
-    out_df = df.mapInPandas(gen, schema=BLOCK_SCHEMA)
-    out = RowBlockMatrix(
-        out_df, a.nrows, ncols_out if ncols_out is not None else a.ncols,
-        a.block_rows,
-    )
-    return out.materialize() if materialized else out
+    return df.mapInPandas(gen, schema=BLOCK_SCHEMA)
 
 
-def zip_reduce(
-    a: RowBlockMatrix, others: list[RowBlockMatrix], fn, combine
-):
-    """Join on bid, map to partials, combine on the driver."""
-    df = a.df
-    names = []
-    for i, o in enumerate(others):
-        nm = f"block_{i}"
-        names.append(nm)
-        df = df.join(o.df.withColumnRenamed("block", nm), "bid")
+def reduce_rows(df: DataFrame, fn, combine, sides: list[str] = ()):
+    """``fn(bid, block, *side_blocks) -> partial`` per row of ``df``;
+    partials combine per partition, then on the driver (one job)."""
 
     def gen(it):
         import pandas as pd
 
         for pdf in it:
             acc = None
-            for _, row in pdf.iterrows():
-                blks = [_deser(bytes(row[nm])) for nm in names]
-                p = fn(_deser(bytes(row["block"])), *blks)
+            for row in _blocks(pdf, sides):
+                p = fn(*row)
                 acc = p if acc is None else combine(acc, p)
             if acc is not None:
                 yield pd.DataFrame({"part": [_ser(acc)]})
 
-    parts = df.mapInPandas(gen, schema="part BINARY").collect()
     acc = None
-    for r in parts:
+    for r in df.mapInPandas(gen, schema="part BINARY").collect():
         p = _deser(bytes(r["part"]))
         acc = p if acc is None else combine(acc, p)
     return acc
+
+
+def join_blocks(a: RowBlockMatrix, others: list[RowBlockMatrix]):
+    """``a.df`` joined on bid with the blocks of each row-aligned matrix
+    in ``others``; returns the DataFrame and its side block columns."""
+    assert all(o.nrows == a.nrows and o.block_rows == a.block_rows for o in others)
+    df, names = a.df, [f"side_{i}" for i in range(len(others))]
+    for nm, o in zip(names, others):
+        df = df.join(o.df.withColumnRenamed("block", nm), "bid")
+    return df, names
+
+
+def zip_blocks(
+    a: RowBlockMatrix, others: list[RowBlockMatrix], fn,
+    ncols_out: int | None = None,
+) -> RowBlockMatrix:
+    """Join row-aligned distributed matrices on bid and apply
+    ``fn(block_a, *blocks_others) -> block`` (the distributed join path
+    for row-aligned side inputs)."""
+    df, names = join_blocks(a, others)
+    out_df = map_rows(df, lambda bid, *blks: fn(*blks), names)
+    return RowBlockMatrix(
+        out_df, a.nrows, ncols_out if ncols_out is not None else a.ncols,
+        a.block_rows,
+    )
+
+
+def zip_reduce(
+    a: RowBlockMatrix, others: list[RowBlockMatrix], fn, combine
+):
+    """Join on bid, map to partials, combine on the driver."""
+    df, names = join_blocks(a, others)
+    return reduce_rows(df, lambda bid, *blks: fn(*blks), combine, names)

@@ -5,10 +5,13 @@ may contain :class:`RowBlockMatrix` values: it plans every mode the same
 way and runs the plan with the same ``execute_plan``, against a
 :class:`SparkBackend`. The backend places each operator by its operand
 types: an operator touching a distributed operand runs as a distributed
-instruction (one materialized Spark job), everything else runs locally
-at the driver — SystemML's hybrid runtime plans. After a plan it
-unpersists the distributed intermediates it produced, never the
-caller's inputs.
+instruction, everything else runs locally at the driver — SystemML's
+hybrid runtime plans. A distributed instruction's result is placed by
+its shape: one narrower than its widest distributed operand that fits
+the driver budget is collected (one Spark job), so its consumers run
+locally; any other is materialized (persist + count). After a plan the
+backend unpersists the distributed intermediates it produced, never the
+caller's inputs, and the broadcasts its instructions created.
 
 Gen modes compile with a cost model whose ``local_mem_budget`` reflects
 the driver budget, so plan selection reasons about distributed reads,
@@ -17,7 +20,7 @@ broadcasts, and the Row template's block-size constraint exactly as
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,48 +80,24 @@ def _hand_kernel_dist(spark, op_name: str, hand, env):
             mv = a if a.op == "ba(+*)" else b
             w_hop = b if mv is a else a
             v_hop = mv.inputs[1]
-        bcv = spark.sparkContext.broadcast(np.asarray(env[v_hop.hid]))
+        bcv = ops.broadcast_value(spark, np.asarray(env[v_hop.hid]))
         w_val = env[w_hop.hid] if w_hop is not None else None
-        if isinstance(w_val, RowBlockMatrix):
-            # distributed weight vector: single-pass join on block id
-            def partw(x, w):
-                wd = w.to_dense() if isinstance(w, CSR) else w
-                inner = (
-                    x.spmm(bcv.value) if isinstance(x, CSR) else x @ bcv.value
-                ) * wd
-                return x.tspmm(inner) if isinstance(x, CSR) else x.T @ inner
 
-            return zip_reduce(X, [w_val], partw, lambda p, q: p + q)
-        bcw = spark.sparkContext.broadcast(w_val) if w_val is not None else None
-        bs = X.block_rows
-
-        def part(x, bid_lo):
+        def chain(x, w):
             inner = x.spmm(bcv.value) if isinstance(x, CSR) else x @ bcv.value
-            if bcw is not None:
-                inner = inner * bcw.value[bid_lo : bid_lo + inner.shape[0]]
+            if w is not None:
+                inner = inner * w
             return x.tspmm(inner) if isinstance(x, CSR) else x.T @ inner
 
-        # reduce with block offsets: reuse zip_reduce via bid-aware mapping
-        import pickle
-
-        import pandas as pd
-
-        def gen(it):
-            for pdf in it:
-                acc = None
-                for bid, blk in zip(pdf["bid"], pdf["block"]):
-                    x = pickle.loads(bytes(blk))
-                    p = part(x, int(bid) * bs)
-                    acc = p if acc is None else acc + p
-                if acc is not None:
-                    yield pd.DataFrame({"part": [pickle.dumps(acc)]})
-
-        parts = X.df.mapInPandas(gen, schema="part BINARY").collect()
-        acc = None
-        for r in parts:
-            p = pickle.loads(bytes(r["part"]))
-            acc = p if acc is None else acc + p
-        return acc
+        if isinstance(w_val, RowBlockMatrix):
+            # distributed weight vector: single-pass join on block id
+            return zip_reduce(X, [w_val], lambda x, w: chain(x, ops._dense(w)), np.add)
+        if w_val is None:
+            return ops.sum_blocks(X, lambda x, lo: chain(x, None))
+        bcw = ops.broadcast_value(spark, w_val)
+        return ops.sum_blocks(
+            X, lambda x, lo: chain(x, bcw.value[lo : lo + x.shape[0]])
+        )
     if op_name in ("tak+*", "tak^2"):
         inner = root.inputs[0]
         x_hop = inner.inputs[0]
@@ -161,31 +140,61 @@ class SparkBackend:
     generated) runs its local kernel when no operand is distributed, its
     distributed kernel when one exists for the operands' placement, and
     otherwise returns None so the plan's covered hops run as basic
-    operators; a basic operator is placed by ``eval_hop_hybrid``."""
+    operators; a basic operator is placed by ``eval_hop_hybrid``.
+
+    A distributed instruction's matrix result is placed once, here: if
+    it is narrower than its widest distributed operand and its memory
+    estimate fits ``cm.local_mem_budget``, it is collected to the driver
+    (one job) and its consumers run locally; otherwise it is
+    materialized. The broadcasts the instructions create are recorded
+    and unpersisted with the plan's intermediates."""
 
     spark: object
+    cm: CostModel
+    bcasts: list = field(default_factory=list)
 
     def basic(self, h: Hop, env: dict, bindings: dict):
-        return eval_hop_hybrid(self.spark, h, env, bindings)
+        with ops.recording_broadcasts(self.bcasts):
+            out = eval_hop_hybrid(self.spark, h, env, bindings)
+        if h.op in ("leaf", "t"):  # the caller's value, or an operand's
+            return out
+        return self._place(out, h, [env[i.hid] for i in h.inputs])
 
     def fused(self, spec: OpSpec, op, env: dict):
         ins = {h: env[h] for h in spec.input_hids}
         if not any(is_dist(v) for v in ins.values()):
             return run_local(spec, op, env)
-        if isinstance(op, HandOp):
-            return _hand_kernel_dist(self.spark, op.name, op, env)
-        if isinstance(ins.get(op.cplan.main_hid), RowBlockMatrix) and not any(
-            isinstance(v, TransposedRBM) for v in ins.values()
-        ):
-            return execute_dist(self.spark, op, ins)
+        with ops.recording_broadcasts(self.bcasts):
+            if isinstance(op, HandOp):
+                return _hand_kernel_dist(self.spark, op.name, op, env)
+            if isinstance(ins.get(op.cplan.main_hid), RowBlockMatrix) and not any(
+                isinstance(v, TransposedRBM) for v in ins.values()
+            ):
+                out = execute_dist(self.spark, op, ins)
+                return self._place(out, spec.root, list(ins.values()))
         return None
 
+    def _place(self, out, h: Hop, operands: list):
+        """Collect a narrow, small distributed result; materialize any
+        other one. Local results pass through."""
+        if not isinstance(out, RowBlockMatrix):
+            return out
+        widest = max(v.ncols for v in operands if isinstance(v, RowBlockMatrix))
+        if out.ncols < widest and h.memory_bytes() <= self.cm.local_mem_budget:
+            return out.to_numpy()
+        return out.materialize()
+
     def release(self, values: list, keep: list) -> None:
-        """Unpersist the distributed intermediates, never a kept value."""
+        """Unpersist the distributed intermediates, never a kept value,
+        and the broadcasts (not destroyed: an evicted cached result may
+        still be recomputed from them)."""
         kept = {id(v) for v in keep}
         for v in {id(v): v for v in values}.values():
             if isinstance(v, RowBlockMatrix) and id(v) not in kept:
                 v.unpersist()
+        for b in self.bcasts:
+            b.unpersist()
+        self.bcasts.clear()
 
 
 class SparkEngine(Engine):
@@ -203,4 +212,4 @@ class SparkEngine(Engine):
         return self._run(exprs, bindings)
 
     def _execute_plan(self, plan: CompiledPlan, bindings: dict) -> list:
-        return execute_plan(plan, bindings, SparkBackend(self.spark))
+        return execute_plan(plan, bindings, SparkBackend(self.spark, self.cm))

@@ -9,18 +9,18 @@ input's row blocks:
 * distributed row-aligned side inputs are joined on ``bid``;
 * local side inputs are broadcast and sliced per block — every broadcast
   is a real, measurable cost (the Gen-FA distributed slowdown story);
-* no_agg/row_agg variants yield a new distributed matrix; col/full
-  aggregates combine per-partition partials on the driver.
+* no_agg/row_agg variants return a new, unmaterialized distributed
+  matrix for the caller to place; col/full aggregates combine
+  per-partition partials on the driver.
 """
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 
 from repro.core.runtime import SpoofOp
 from repro.lina.sparse import CSR
-from repro.sparkdist.blocked import BLOCK_SCHEMA, RowBlockMatrix
+from repro.sparkdist.blocked import RowBlockMatrix, join_blocks, map_rows, reduce_rows
+from repro.sparkdist.ops import broadcast_value
 
 _COMBINE = {"sum": np.add, "max": np.maximum, "min": np.minimum}
 
@@ -52,35 +52,20 @@ def execute_dist(spark, spoof: SpoofOp, values: dict[int, object]):
     local_vals = {
         h: values[h] for h in cp.side_hids if h not in dist_hids
     }
-    bc_op = spark.sparkContext.broadcast(spoof)
-    bc_sides = spark.sparkContext.broadcast(local_vals)
-
-    df = main.df
-    names = []
-    for i, h in enumerate(dist_hids):
-        nm = f"side_{i}"
-        names.append(nm)
-        df = df.join(values[h].df.withColumnRenamed("block", nm), "bid")
+    bc_op = broadcast_value(spark, spoof)
+    bc_sides = broadcast_value(spark, local_vals)
+    df, names = join_blocks(main, [values[h] for h in dist_hids])
 
     variant, agg_fn = cp.variant, cp.agg_fn or "sum"
     n_out = cp.n_outputs
     input_hids = list(spoof.input_hids)
     main_hid = cp.main_hid
-    dist_pos = {h: nm for h, nm in zip(dist_hids, names)}
-
     whole_sides = cp.meta.get("whole_sides", set())
 
-    def block_exec(row) -> object:
-        op = bc_op.value
-        sides = bc_sides.value
-        bid = int(row["bid"])
-        lo = bid * bs
-        blk = pickle.loads(bytes(row["block"]))
-        rows_b = blk.shape[0]
-        vals: dict[int, object] = {main_hid: blk}
-        for h, nm in dist_pos.items():
-            vals[h] = pickle.loads(bytes(row[nm]))
-        for h, v in sides.items():
+    def block_exec(bid: int, blk, *dist_blks) -> object:
+        lo, rows_b = bid * bs, blk.shape[0]
+        vals: dict[int, object] = {main_hid: blk, **dict(zip(dist_hids, dist_blks))}
+        for h, v in bc_sides.value.items():
             if _is_row_aligned(v, n, h, whole_sides):
                 v = (
                     v.row_slice(lo, lo + rows_b)
@@ -88,28 +73,16 @@ def execute_dist(spark, spoof: SpoofOp, values: dict[int, object]):
                     else v[lo : lo + rows_b]
                 )
             vals[h] = v
-        return op.execute([vals[h] for h in input_hids])
+        return bc_op.value.execute([vals[h] for h in input_hids])
 
     if variant in ("no_agg", "row_agg"):
         out_cols = 1 if variant == "row_agg" else cp.root.ncols
 
-        def gen(it):
-            import pandas as pd
+        def block_out(*row):
+            r = block_exec(*row)
+            return r if isinstance(r, CSR) else np.atleast_2d(np.asarray(r))
 
-            for pdf in it:
-                out_bid, out_blk = [], []
-                for _, row in pdf.iterrows():
-                    r = block_exec(row)
-                    if isinstance(r, CSR):
-                        pass
-                    else:
-                        r = np.atleast_2d(np.asarray(r))
-                    out_bid.append(row["bid"])
-                    out_blk.append(pickle.dumps(r))
-                yield pd.DataFrame({"bid": out_bid, "block": out_blk})
-
-        out_df = df.mapInPandas(gen, schema=BLOCK_SCHEMA)
-        return RowBlockMatrix(out_df, n, out_cols, bs).materialize()
+        return RowBlockMatrix(map_rows(df, block_out, names), n, out_cols, bs)
 
     # aggregate variants: partial per partition, combined on the driver
     fns = [agg_fn] + cp.magg_agg_fns if cp.magg_roots else [agg_fn]
@@ -119,22 +92,7 @@ def execute_dist(spark, spoof: SpoofOp, values: dict[int, object]):
             return tuple(_COMBINE[f](x, y) for f, x, y in zip(fns, a, b))
         return _COMBINE[fns[0]](a, b)
 
-    def gen_agg(it):
-        import pandas as pd
-
-        for pdf in it:
-            acc = None
-            for _, row in pdf.iterrows():
-                r = block_exec(row)
-                acc = r if acc is None else combine(acc, r)
-            if acc is not None:
-                yield pd.DataFrame({"part": [pickle.dumps(acc)]})
-
-    parts = df.mapInPandas(gen_agg, schema="part BINARY").collect()
-    acc = None
-    for r in parts:
-        p = pickle.loads(bytes(r["part"]))
-        acc = p if acc is None else combine(acc, p)
+    acc = reduce_rows(df, block_exec, combine, names)
     if n_out > 1:
         return list(acc)
     if variant == "full_agg":

@@ -1,13 +1,21 @@
 """Distributed basic operators over RowBlockMatrix (SystemML's Spark
-instructions): one materialized distributed job per operator — the
-baseline the fused operators beat.
+instructions) — the baseline the fused operators beat. An operator
+whose result is a matrix returns it unmaterialized, for the caller to
+place (``SparkBackend`` collects narrow results to the driver and
+materializes the rest); aggregates and ``t(X) %*% ·`` / ``A %*% X``
+combine block partials on the driver and return local values.
 
 Small operands (vectors, narrow matrices) are shipped to executors via
 explicit ``SparkContext.broadcast``, so broadcast overhead is real and
 measurable — the effect behind Gen-FA's distributed slowdowns (§5.5).
+Every broadcast goes through ``broadcast_value``, which also records it
+in the innermost ``recording_broadcasts`` scope, so the caller can
+release it.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +23,9 @@ import numpy as np
 from repro.core import vectlib as vl
 from repro.core.executor import _BINARY_FN, _UNARY_FN
 from repro.lina.sparse import CSR
-from repro.sparkdist.blocked import RowBlockMatrix, zip_blocks, zip_reduce
+from repro.sparkdist.blocked import (
+    RowBlockMatrix, map_rows, reduce_rows, zip_blocks, zip_reduce,
+)
 
 
 @dataclass
@@ -35,8 +45,28 @@ def _dense(x):
     return x.to_dense() if isinstance(x, CSR) else x
 
 
+# the list that broadcasts are recorded into, set by recording_broadcasts;
+# a context variable, so the operators keep their (spark, ...) signatures
+# and concurrent threads record separately
+_recording: ContextVar[list | None] = ContextVar("recording", default=None)
+
+
+@contextmanager
+def recording_broadcasts(into: list):
+    """Append every broadcast that ``broadcast_value`` creates inside the
+    block to ``into``."""
+    token = _recording.set(into)
+    try:
+        yield into
+    finally:
+        _recording.reset(token)
+
+
 def broadcast_value(spark, v):
-    return spark.sparkContext.broadcast(v)
+    b = spark.sparkContext.broadcast(v)
+    if (log := _recording.get()) is not None:
+        log.append(b)
+    return b
 
 
 def is_dist(v) -> bool:
@@ -50,60 +80,32 @@ def elementwise(spark, op: str, a, b):
     if isinstance(a, RowBlockMatrix) and isinstance(b, RowBlockMatrix):
         return zip_blocks(a, [b], lambda x, y: fn(_dense(x), _dense(y)))
     if isinstance(a, RowBlockMatrix):
-        if isinstance(b, (float, int)):
-            return a.map_blocks(lambda x: fn(_dense(x), b))
-        bc = broadcast_value(spark, b)
-        bs = a.block_rows
-        n = a.nrows
-
-        def run(blk, bid=None):
-            return fn(_dense(blk), _dense(bc.value))
-
-        # row-aligned local side: slice per block (needs bid — use zip trick)
-        bv = _dense(b)
-        if isinstance(bv, np.ndarray) and bv.ndim == 2 and bv.shape[0] == n and n > 1:
-            return _map_with_bid(
-                a, lambda bid, x: fn(_dense(x), bc.value[bid * bs : bid * bs + _nrows(x)])
-            )
-        return a.map_blocks(run)
-    # a local, b distributed
+        return _with_local(spark, a, b, fn)
     if isinstance(b, RowBlockMatrix):
-        if isinstance(a, (float, int)):
-            return b.map_blocks(lambda x: fn(a, _dense(x)))
-        bc = broadcast_value(spark, a)
-        av = _dense(a)
-        bs = b.block_rows
-        if isinstance(av, np.ndarray) and av.ndim == 2 and av.shape[0] == b.nrows and b.nrows > 1:
-            return _map_with_bid(
-                b, lambda bid, x: fn(bc.value[bid * bs : bid * bs + _nrows(x)], _dense(x))
-            )
-        return b.map_blocks(lambda x: fn(_dense(bc.value), _dense(x)))
+        return _with_local(spark, b, a, lambda x, v: fn(v, x))
     raise TypeError("no distributed operand")
 
 
-def _nrows(blk):
-    return blk.shape[0]
+def _with_local(spark, X: RowBlockMatrix, v, fn):
+    """``fn(block, v')`` per block of X, where v' is a scalar, the
+    broadcast local operand, or — for a row-aligned local matrix — its
+    rows of the block."""
+    if isinstance(v, (float, int)):
+        return X.map_blocks(lambda x: fn(_dense(x), v))
+    v = _dense(v)
+    bc = broadcast_value(spark, v)
+    if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[0] == X.nrows and X.nrows > 1:
+        bs = X.block_rows
+        return _map_with_bid(
+            X, lambda bid, x: fn(_dense(x), bc.value[bid * bs : bid * bs + x.shape[0]])
+        )
+    return X.map_blocks(lambda x: fn(_dense(x), bc.value))
 
 
 def _map_with_bid(a: RowBlockMatrix, fn):
     """map_blocks variant that passes the block id (for row-aligned local
     side slicing)."""
-    import pandas as pd
-    import pickle
-
-    def gen(it):
-        for pdf in it:
-            out_bid, out_blk = [], []
-            for bid, blk in zip(pdf["bid"], pdf["block"]):
-                out_bid.append(bid)
-                out_blk.append(
-                    pickle.dumps(fn(int(bid), pickle.loads(bytes(blk))))
-                )
-            yield pd.DataFrame({"bid": out_bid, "block": out_blk})
-
-    df = a.df.mapInPandas(gen, schema="bid INT, block BINARY")
-    out = RowBlockMatrix(df, a.nrows, a.ncols, a.block_rows)
-    return out.materialize()
+    return RowBlockMatrix(map_rows(a.df, fn), a.nrows, a.ncols, a.block_rows)
 
 
 def unary(spark, op: str, a: RowBlockMatrix):
@@ -125,41 +127,32 @@ def matmult(spark, a, b):
         if isinstance(b, RowBlockMatrix):
             # t(X) %*% Y, both row-aligned: sum of per-block Xᵇᵀ Yᵇ
             assert X.nrows == b.nrows
-            return zip_reduce(
-                X,
-                [b],
-                lambda x, y: (
-                    x.tspmm(_dense(y)) if isinstance(x, CSR) else _dense(x).T @ _dense(y)
-                ),
-                lambda p, q: p + q,
-            )
+            return zip_reduce(X, [b], lambda x, y: _tmm(x, _dense(y)), np.add)
         # t(X) %*% local y (n-aligned local matrix): ship y, slice per block
         bc = broadcast_value(spark, _dense(b))
-        return _tx_local(X, bc, X.block_rows)
+        return sum_blocks(X, lambda x, lo: _tmm(x, bc.value[lo : lo + x.shape[0]]))
+    if isinstance(b, RowBlockMatrix) and not is_dist(a):
+        # local A (k×n) %*% X: ship A, sum of per-block A[:, rows_b] Xᵇ
+        bc = broadcast_value(spark, _dense(a))
+        return sum_blocks(b, lambda x, lo: _lmm(bc.value[:, lo : lo + x.shape[0]], x))
     raise TypeError(f"unsupported distributed matmult {type(a)} @ {type(b)}")
 
 
-def _tx_local(X: RowBlockMatrix, bc, bs: int):
-    import pandas as pd
-    import pickle
+def _tmm(x, y):
+    """xᵀ y for a dense or CSR block x and a dense y."""
+    return x.tspmm(y) if isinstance(x, CSR) else x.T @ y
 
-    def gen(it):
-        for pdf in it:
-            acc = None
-            for bid, blk in zip(pdf["bid"], pdf["block"]):
-                x = pickle.loads(bytes(blk))
-                y = bc.value[int(bid) * bs : int(bid) * bs + _nrows(x)]
-                p = x.tspmm(y) if isinstance(x, CSR) else _dense(x).T @ y
-                acc = p if acc is None else acc + p
-            if acc is not None:
-                yield pd.DataFrame({"part": [pickle.dumps(acc)]})
 
-    parts = X.df.mapInPandas(gen, schema="part BINARY").collect()
-    acc = None
-    for r in parts:
-        p = pickle.loads(bytes(r["part"]))
-        acc = p if acc is None else acc + p
-    return acc
+def _lmm(a, x):
+    """a x for a dense a and a dense or CSR block x."""
+    return x.tspmm(a.T).T if isinstance(x, CSR) else a @ x
+
+
+def sum_blocks(X: RowBlockMatrix, part):
+    """Σ over row blocks of ``part(block, first_row)``, summed on the
+    driver (one job)."""
+    bs = X.block_rows
+    return reduce_rows(X.df, lambda bid, x: part(x, bid * bs), np.add)
 
 
 # how block partials of a full or column aggregate combine
@@ -168,8 +161,8 @@ _COMBINE = {"ua(+)": np.add, "ua(max)": np.maximum, "ua(min)": np.minimum, "ua(C
 
 def aggregate(spark, op: str, a: RowBlockMatrix):
     """Aggregate per row block with the local kernels of ``vectlib.AGG``:
-    full and column aggregates combine the block partials, row
-    aggregates stay distributed."""
+    full and column aggregates combine the block partials, a row
+    aggregate is a new n×1 distributed matrix."""
     kernel = vl.AGG[op]
     if op == "ua(C+)":
         return a.reduce_blocks(kernel, _COMBINE[op])

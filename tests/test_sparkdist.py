@@ -92,6 +92,21 @@ def test_matmult_tsmm(spark):
     np.testing.assert_allclose(out, x.T @ y, atol=1e-12)
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_matmult_local_lhs(spark, sparse):
+    # t(A) %*% X once A is local: k×n local times n×m distributed
+    x = _rand(40, 6, 41)
+    if sparse:
+        x[x < 0.6] = 0.0
+    a = _rand(3, 40, 42)
+    rx = RowBlockMatrix.from_matrix(
+        spark, CSR.from_dense(x) if sparse else x, block_rows=BS
+    )
+    out = ops.matmult(spark, a, rx)
+    assert isinstance(out, np.ndarray)
+    np.testing.assert_allclose(out, a @ x, atol=1e-12)
+
+
 def test_aggregates(spark):
     # a narrow and a wide row block
     for m in (6, 40):
@@ -366,3 +381,79 @@ def test_engine_gen_fuses_distributed(spark):
     rb = RowBlockMatrix.from_matrix(spark, x, block_rows=BS)
     eng(X.T @ (X @ V), {"X": rb, "v": v})
     assert sum(p.n_fused for p in eng._plans.values()) >= 1
+
+
+# ----------------------------------------------- hybrid result placement
+@pytest.mark.parametrize("mode", ["base", "fused", "gen", "gen_fa", "gen_fnr"])
+def test_engine_narrow_results_come_back_local(spark, mode):
+    # rowSums(X^2) (n×1) and X %*% C (n×3) are narrower than X (n×8):
+    # collected to the driver as ndarrays, not kept distributed
+    n, m = 60, 8
+    x, c = _rand(n, m, 43), _rand(m, 3, 44)
+    X, C = H.var("X", n, m), H.var("C", m, 3)
+    rb = RowBlockMatrix.from_matrix(spark, x, block_rows=BS)
+    eng = SparkEngine(spark, mode)
+    for expr in (H.row_sums(X**2.0), X @ C):
+        got = eng(expr, {"X": rb, "C": c})
+        (ref,) = execute_base([expr.hop], {"X": x, "C": c})
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_allclose(got, ref, atol=1e-12)
+
+
+def test_engine_gen_rowsums_is_one_job(spark):
+    n, m = 60, 8
+    x = _rand(n, m, 45)
+    X = H.var("X", n, m)
+    rb = RowBlockMatrix.from_matrix(spark, x, block_rows=BS).materialize()
+    sc = spark.sparkContext
+    sc.setJobGroup("test-rowsums", "Gen rowSums(X^2)")
+    try:
+        got = SparkEngine(spark, "gen")(H.row_sums(X**2.0), {"X": rb})
+        jobs = sc.statusTracker().getJobIdsForGroup("test-rowsums")
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        rb.unpersist()
+    np.testing.assert_allclose(got, (x * x).sum(1, keepdims=True))
+    assert len(jobs) == 1
+
+
+def test_engine_same_width_result_stays_distributed(spark):
+    n, m = 50, 6
+    x = _rand(n, m, 46)
+    X = H.var("X", n, m)
+    rb = RowBlockMatrix.from_matrix(spark, x, block_rows=BS)
+    got = SparkEngine(spark, "base")(X * 2.0, {"X": rb})
+    assert isinstance(got, RowBlockMatrix)
+    assert got.df.storageLevel.useMemory
+    np.testing.assert_allclose(got.to_numpy(), x * 2.0)
+    got.unpersist()
+
+
+@pytest.mark.parametrize("mode", ["base", "fused", "gen", "gen_fa", "gen_fnr"])
+def test_engine_releases_its_broadcasts(spark, mode, monkeypatch):
+    from pyspark import SparkContext
+    from pyspark.broadcast import Broadcast
+
+    from repro.algorithms import kmeans
+
+    created, released = [], set()
+    orig_bc, orig_unpersist = SparkContext.broadcast, Broadcast.unpersist
+
+    def broadcast(sc, value):
+        b = orig_bc(sc, value)
+        created.append(b)
+        return b
+
+    def unpersist(b, *args, **kwargs):
+        released.add(id(b))
+        return orig_unpersist(b, *args, **kwargs)
+
+    monkeypatch.setattr(SparkContext, "broadcast", broadcast)
+    monkeypatch.setattr(Broadcast, "unpersist", unpersist)
+    n, m = 90, 5
+    x = _rand(n, m, 47)
+    cfg = kmeans.KMeansConfig(k=3, max_iter=1)
+    rb = RowBlockMatrix.from_matrix(spark, x, block_rows=BS)
+    kmeans.run(SparkEngine(spark, mode), rb, cfg, init_C=x[:3].copy())
+    assert created
+    assert [b for b in created if id(b) not in released] == []
