@@ -36,12 +36,6 @@ def _as2d(v: Value) -> np.ndarray:
     return np.array([[float(v)]])
 
 
-def _scalar(v: Value) -> float:
-    if isinstance(v, np.ndarray):
-        return float(v.reshape(-1)[0])
-    return float(v)
-
-
 _UNARY_FN = {
     "u(exp)": np.exp,
     "u(log)": np.log,

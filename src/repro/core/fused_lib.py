@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core import vectlib
 from repro.core.executor import Value
 from repro.core.hop import Hop, consumers, postorder
 from repro.lina.compressed import CLAMatrix
@@ -104,9 +105,7 @@ def _k_wdivmm_right(x: Hop, u: Hop, vt: Hop, v: Hop):
         V = np.ascontiguousarray(_dense(env[vt.hid]).T)
         R = _dense(env[v.hid])
         w = np.einsum("ij,ij->i", U[rix], V[cix]) * (vals != 0)
-        out = np.zeros((X.shape[0], R.shape[1]))
-        np.add.at(out, rix, w[:, None] * R[cix])
-        return out
+        return vectlib.outer_right_acc(w, rix, R[cix], X.shape[0], R.shape[1])
 
     return run
 

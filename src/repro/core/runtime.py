@@ -26,7 +26,7 @@ from repro.core import vectlib
 from repro.core.codegen import PlanCache, compile_source, render_source
 from repro.core.cplan import CPlan
 from repro.lina.compressed import CLAMatrix
-from repro.lina.sparse import CSR
+from repro.lina.sparse import CSR, scatter_add
 
 BLOCK_BYTES = 2 << 20  # ~2 MB dense row blocks (L2-resident working set)
 
@@ -161,9 +161,9 @@ def _exec_cellwise(op: SpoofOp, vals: dict):
             if cp.variant == "full_agg":
                 outs.append(float(np.sum(w)))
             elif cp.variant == "row_agg":
-                acc = np.zeros(n)
-                np.add.at(acc, rixv, w)
-                outs.append(acc.reshape(-1, 1))
+                # a generated body may return a scalar: bincount needs nnz weights
+                w = np.broadcast_to(np.asarray(w, dtype=np.float64), rixv.shape)
+                outs.append(scatter_add(rixv, w, n).reshape(-1, 1))
             else:  # no_agg keeps the sparse pattern
                 outs.append(CSR(main.indptr, main.indices, np.asarray(w, dtype=np.float64), main.shape))
         return outs[0] if n_out == 1 else outs

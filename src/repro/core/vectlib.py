@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lina.sparse import CSR
+from repro.lina.sparse import CSR, scatter_mm
 
 
 def _dense(x):
@@ -159,6 +159,4 @@ def dot_rows(u, v):
 
 def outer_right_acc(w, rix_, vrows, nrows, k):
     """right_mm accumulation: out[i] += w_ij * V_j (paper vectMultAdd)."""
-    out = np.zeros((nrows, k), dtype=np.float64)
-    np.add.at(out, rix_, w[:, None] * vrows)
-    return out
+    return scatter_mm(rix_, w, vrows.reshape(-1, k), None, nrows)

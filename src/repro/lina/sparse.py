@@ -5,6 +5,12 @@ This is the sparse substrate used by the template skeletons in
 coordinate/value arrays directly, which is what gives the Outer template
 its O(nnz) behaviour (paper §2.2, Figure 3(a)).
 
+It is also the one O(nnz) kernel set that Base, the skeletons, ``fused_lib``
+and Spark's row blocks share. Every scatter-add (row/column sums, ``X @ B``,
+``Xᵀ @ B``, Outer's ``right_mm``) is :func:`scatter_add`, one ``np.bincount``
+per output column: it adds in non-zero order, as numpy's unbuffered
+``add.at`` does, so sums keep their bits. ``transpose`` is a radix sort.
+
 Only the operations the reproduction needs are implemented; each one is
 vectorized numpy (no per-element Python loops on hot paths).
 """
@@ -13,6 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def scatter_add(ids: np.ndarray, weights, n: int) -> np.ndarray:
+    """``out[i] = Σ weights[p] over ids[p] == i`` for i < n, summed in ``p``
+    order, as float64 (``bincount`` gives int64 for empty ``weights``)."""
+    return np.bincount(ids, weights=weights, minlength=n).astype(np.float64, copy=False)
+
+
+def scatter_mm(ids: np.ndarray, w: np.ndarray, b: np.ndarray, b_ids, n: int) -> np.ndarray:
+    """``out[ids[p], :] += w[p] * b[b_ids[p], :]`` as an n×k matrix, one
+    :func:`scatter_add` per column (no nnz×k temporary). ``b_ids=None``
+    means ``b`` already holds one row per non-zero."""
+    out = np.empty((n, b.shape[1]), dtype=np.float64)
+    for j, col in enumerate(b.T):
+        out[:, j] = scatter_add(ids, w * (col if b_ids is None else col[b_ids]), n)
+    return out
 
 
 @dataclass
@@ -84,9 +106,14 @@ class CSR:
         return out
 
     def transpose(self) -> "CSR":
-        return CSR.from_coo(
-            self.indices, self.row_index(), self.values, (self.shape[1], self.shape[0])
-        )
+        """The arrays ``from_coo`` builds, by a stable sort on column ids
+        alone (numpy radix-sorts uint16 keys) instead of a two-key sort."""
+        m = self.shape[1]
+        keys = self.indices.astype(np.uint16) if m <= 1 << 16 else self.indices
+        order = np.argsort(keys, kind="stable")
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=m), out=indptr[1:])
+        return CSR(indptr, self.row_index()[order], self.values[order], (m, self.shape[0]))
 
     def row_slice(self, start: int, stop: int) -> "CSR":
         lo, hi = self.indptr[start], self.indptr[stop]
@@ -100,25 +127,17 @@ class CSR:
     # ------------------------------------------------------------ arithmetic
     def spmv(self, v: np.ndarray) -> np.ndarray:
         """X @ v for a dense vector v — O(nnz)."""
-        v = np.asarray(v, dtype=np.float64).reshape(-1)
-        prod = self.values * v[self.indices]
-        return np.add.reduceat(
-            np.append(prod, 0.0), self.indptr[:-1]
-        ) * (self.row_nnz() > 0) if self.nnz else np.zeros(self.shape[0])
+        return self.spmm(np.asarray(v, dtype=np.float64).reshape(-1, 1))[:, 0]
 
     def spmm(self, b: np.ndarray) -> np.ndarray:
         """X @ B for a dense matrix B — O(nnz * ncol(B))."""
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-        out = np.zeros((self.shape[0], b.shape[1]), dtype=np.float64)
-        np.add.at(out, self.row_index(), self.values[:, None] * b[self.indices])
-        return out
+        return scatter_mm(self.row_index(), self.values, b, self.indices, self.shape[0])
 
     def tspmm(self, b: np.ndarray) -> np.ndarray:
         """Xᵀ @ B for a dense matrix B — O(nnz * ncol(B)), no transpose copy."""
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-        out = np.zeros((self.shape[1], b.shape[1]), dtype=np.float64)
-        np.add.at(out, self.indices, self.values[:, None] * b[self.row_index()])
-        return out
+        return scatter_mm(self.indices, self.values, b, self.row_index(), self.shape[1])
 
     def scale_values(self, f) -> "CSR":
         """Apply a sparse-safe (f(0)=0) elementwise function to the values."""
@@ -155,11 +174,7 @@ class CSR:
         return float(self.values.sum())
 
     def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.shape[0], dtype=np.float64)
-        np.add.at(out, self.row_index(), self.values)
-        return out
+        return scatter_add(self.row_index(), self.values, self.shape[0])
 
     def col_sums(self) -> np.ndarray:
-        out = np.zeros(self.shape[1], dtype=np.float64)
-        np.add.at(out, self.indices, self.values)
-        return out
+        return scatter_add(self.indices, self.values, self.shape[1])

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.algorithms.engine import Engine
 from repro.core import executor as local_ex
+from repro.core import vectlib as vl
 from repro.core.cost import CostModel, OpSpec
 from repro.core.fused_lib import HandOp
 from repro.core.hop import Hop
@@ -84,10 +85,10 @@ def _hand_kernel_dist(spark, op_name: str, hand, env):
         w_val = env[w_hop.hid] if w_hop is not None else None
 
         def chain(x, w):
-            inner = x.spmm(bcv.value) if isinstance(x, CSR) else x @ bcv.value
+            inner = vl.mm(x, bcv.value)
             if w is not None:
                 inner = inner * w
-            return x.tspmm(inner) if isinstance(x, CSR) else x.T @ inner
+            return vl.tmm_acc(x, inner)
 
         if isinstance(w_val, RowBlockMatrix):
             # distributed weight vector: single-pass join on block id

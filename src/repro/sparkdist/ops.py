@@ -118,29 +118,21 @@ def matmult(spark, a, b):
     if isinstance(a, RowBlockMatrix) and not is_dist(b):
         bc = broadcast_value(spark, _dense(b))
         k = _dense(b).shape[1]
-        return a.map_blocks(
-            lambda x: x.spmm(bc.value) if isinstance(x, CSR) else _dense(x) @ bc.value,
-            ncols_out=k,
-        )
+        return a.map_blocks(lambda x: vl.mm(x, bc.value), ncols_out=k)
     if isinstance(a, TransposedRBM):
         X = a.base
         if isinstance(b, RowBlockMatrix):
             # t(X) %*% Y, both row-aligned: sum of per-block Xᵇᵀ Yᵇ
             assert X.nrows == b.nrows
-            return zip_reduce(X, [b], lambda x, y: _tmm(x, _dense(y)), np.add)
+            return zip_reduce(X, [b], vl.tmm_acc, np.add)
         # t(X) %*% local y (n-aligned local matrix): ship y, slice per block
         bc = broadcast_value(spark, _dense(b))
-        return sum_blocks(X, lambda x, lo: _tmm(x, bc.value[lo : lo + x.shape[0]]))
+        return sum_blocks(X, lambda x, lo: vl.tmm_acc(x, bc.value[lo : lo + x.shape[0]]))
     if isinstance(b, RowBlockMatrix) and not is_dist(a):
         # local A (k×n) %*% X: ship A, sum of per-block A[:, rows_b] Xᵇ
         bc = broadcast_value(spark, _dense(a))
         return sum_blocks(b, lambda x, lo: _lmm(bc.value[:, lo : lo + x.shape[0]], x))
     raise TypeError(f"unsupported distributed matmult {type(a)} @ {type(b)}")
-
-
-def _tmm(x, y):
-    """xᵀ y for a dense or CSR block x and a dense y."""
-    return x.tspmm(y) if isinstance(x, CSR) else x.T @ y
 
 
 def _lmm(a, x):
