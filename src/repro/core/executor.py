@@ -21,7 +21,7 @@ import numpy as np
 from repro.core import vectlib as vl
 from repro.core.hop import Hop, postorder
 from repro.lina.compressed import CLAMatrix
-from repro.lina.sparse import CSR
+from repro.lina.sparse import CSR, TransposedCSR
 
 Value = float | np.ndarray | CSR | CLAMatrix
 
@@ -103,6 +103,8 @@ def _eval_agg(op: str, x: Value) -> Value:
 
 
 def _eval_mm(a: Value, b: Value) -> Value:
+    # a TransposedCSR folds here: t(X) %*% B runs as X.tspmm(B), and
+    # A %*% t(X) as X.spmm(Aᵀ)ᵀ
     if isinstance(a, CSR):
         return a.spmm(_as2d(b))
     if isinstance(b, CSR):
@@ -122,11 +124,10 @@ def eval_hop(h: Hop, env: dict[int, Value], bindings: dict[str, Value]) -> Value
         return float(h.value)  # type: ignore[arg-type]
     if h.op == "t":
         (x,) = ins
-        if isinstance(x, CSR):
-            return x.transpose()
         # a view: the consuming matmult hands it to BLAS as a transpose
-        # flag instead of copying (SystemML's transpose-aware matmult)
-        return _as2d(x).T
+        # flag, or to the CSR kernels as Xᵀ, instead of copying
+        # (SystemML's transpose-aware matmult)
+        return TransposedCSR(x) if isinstance(x, CSR) else _as2d(x).T
     if h.op == "rix":
         (x,) = ins
         c1, c2 = h.meta["c1"], h.meta["c2"]

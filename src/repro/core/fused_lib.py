@@ -105,7 +105,7 @@ def _k_wdivmm_right(x: Hop, u: Hop, vt: Hop, v: Hop):
         V = np.ascontiguousarray(_dense(env[vt.hid]).T)
         R = _dense(env[v.hid])
         w = np.einsum("ij,ij->i", U[rix], V[cix]) * (vals != 0)
-        return vectlib.outer_right_acc(w, rix, R[cix], X.shape[0], R.shape[1])
+        return vectlib.outer_right_acc(w, rix, R, X.shape[0], R.shape[1], cix)
 
     return run
 

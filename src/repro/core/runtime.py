@@ -269,7 +269,7 @@ def _exec_outer(op: SpoofOp, vals: dict):
     w = op.fn(main.values, u[rixv], vmat[cixv], b)
     if cp.variant == "right_mm":
         rmat = _to_dense(vals[cp.meta["right_hid"]])
-        return vectlib.outer_right_acc(np.asarray(w), rixv, rmat[cixv], n, rmat.shape[1])
+        return vectlib.outer_right_acc(np.asarray(w), rixv, rmat, n, rmat.shape[1], cixv)
     if cp.variant == "full_agg":
         return float(np.sum(w))
     return CSR(main.indptr, main.indices, np.asarray(w, dtype=np.float64), main.shape)

@@ -157,6 +157,8 @@ def dot_rows(u, v):
     return np.einsum("ij,ij->i", u, v)
 
 
-def outer_right_acc(w, rix_, vrows, nrows, k):
-    """right_mm accumulation: out[i] += w_ij * V_j (paper vectMultAdd)."""
-    return scatter_mm(rix_, w, vrows.reshape(-1, k), None, nrows)
+def outer_right_acc(w, rix_, vrows, nrows, k, cix=None):
+    """right_mm accumulation: out[i] += w_ij * V_j (paper vectMultAdd).
+    ``vrows`` holds one row per non-zero or, given the column ids ``cix``,
+    is ``V`` itself, read one column at a time (no nnz×k gather)."""
+    return scatter_mm(rix_, w, vrows.reshape(-1, k), cix, nrows)

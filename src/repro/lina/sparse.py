@@ -9,7 +9,9 @@ It is also the one O(nnz) kernel set that Base, the skeletons, ``fused_lib``
 and Spark's row blocks share. Every scatter-add (row/column sums, ``X @ B``,
 ``Xᵀ @ B``, Outer's ``right_mm``) is :func:`scatter_add`, one ``np.bincount``
 per output column: it adds in non-zero order, as numpy's unbuffered
-``add.at`` does, so sums keep their bits. ``transpose`` is a radix sort.
+``add.at`` does, so sums keep their bits. ``transpose`` is a radix sort,
+and :class:`TransposedCSR` defers it: a matmult over ``t(X)`` reads ``X``
+in place instead.
 
 Only the operations the reproduction needs are implemented; each one is
 vectorized numpy (no per-element Python loops on hot paths).
@@ -17,6 +19,7 @@ vectorized numpy (no per-element Python loops on hot paths).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -178,3 +181,32 @@ class CSR:
 
     def col_sums(self) -> np.ndarray:
         return scatter_add(self.indices, self.values, self.shape[1])
+
+
+class TransposedCSR(CSR):
+    """``Xᵀ`` of a CSR ``X`` as a lazy view, like numpy's ``.T``: its
+    matmults run over ``base`` in place (``Xᵀ B`` is ``X.tspmm(B)``), with
+    the bits of the copy's, as rows keep their column ids sorted. Any
+    other use of its arrays builds ``X.transpose()`` once. It pickles as
+    that plain :class:`CSR`."""
+
+    def __init__(self, base: CSR):
+        self.base = base
+        self.shape = (base.shape[1], base.shape[0])
+
+    @cached_property
+    def built(self) -> CSR:
+        return self.base.transpose()
+
+    indptr = property(lambda self: self.built.indptr)
+    indices = property(lambda self: self.built.indices)
+    values = property(lambda self: self.built.values)
+
+    def spmm(self, b: np.ndarray) -> np.ndarray:
+        return self.base.tspmm(b)
+
+    def tspmm(self, b: np.ndarray) -> np.ndarray:
+        return self.base.spmm(b)
+
+    def __reduce__(self):
+        return CSR, (self.indptr, self.indices, self.values, self.shape)

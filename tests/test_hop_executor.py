@@ -2,10 +2,15 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import glm, l2svm, mlogreg
+from repro.algorithms.engine import Engine
+from repro.core import executor as ex
 from repro.core import hop as H
 from repro.core.executor import execute_base, execute_single
+from repro.core.pipeline import compile_dag, execute_plan, plan_fused
+from repro.data import mldata
 from repro.lina.compressed import CLAMatrix
-from repro.lina.sparse import CSR
+from repro.lina.sparse import CSR, TransposedCSR
 
 
 def _rand(n, m, seed=0):
@@ -269,3 +274,109 @@ def test_base_transpose_of_csr_stays_csr():
     out = execute_single(X.T, {"X": CSR.from_dense(a)})
     assert isinstance(out, CSR)
     np.testing.assert_array_equal(out.to_dense(), a.T)
+
+
+# --------------------------------- sparse t(X): a lazy view folded into mm
+def _count_transposes(monkeypatch) -> list:
+    calls = []
+    orig = CSR.transpose
+    monkeypatch.setattr(CSR, "transpose", lambda self: calls.append(1) or orig(self))
+    return calls
+
+
+def _explicit(roots, bindings):
+    """Base with every sparse t(X) materialized by ``CSR.transpose``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "TransposedCSR", CSR.transpose)
+        return execute_base(roots, bindings)
+
+
+def _assert_same(got, ref):
+    if isinstance(ref, CSR):
+        assert isinstance(got, CSR) and got.shape == ref.shape
+        for g, r in zip((got.indptr, got.indices, got.values), (ref.indptr, ref.indices, ref.values)):
+            assert g.dtype == r.dtype and np.array_equal(g, r)
+    else:
+        assert np.asarray(got).dtype == np.asarray(ref).dtype
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("zero", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_sparse_transpose_folds_into_matmult(k, zero, monkeypatch):
+    a = np.zeros((30, 20)) if zero else _sparse_case(60)
+    b, l = _rand(30, k, 61), _rand(k, 20, 62)
+    X, B, L = H.var("X", 30, 20, 0.2), H.var("B", 30, k), H.var("L", k, 20)
+    roots = [(X.T @ B).hop, (L @ X.T).hop]
+    binds = {"X": CSR.from_dense(a), "B": b, "L": l}
+    calls = _count_transposes(monkeypatch)
+    got = execute_base(roots, binds)
+    assert not calls
+    for g, r in zip(got, _explicit(roots, binds)):
+        _assert_same(g, r)
+    assert got[0].shape == (20, k) and got[1].shape == (k, 30)
+    if zero:
+        assert got[0].dtype == np.float64 and not got[0].any() and not got[1].any()
+
+
+@pytest.mark.parametrize("use", ["root", "col_sums", "times_2", "mm_and_col_sums"])
+def test_sparse_transpose_other_consumers_get_the_csr(use, monkeypatch):
+    a = _sparse_case(63)
+    X, y = H.var("X", 30, 20, 0.2), H.var("y", 30, 1)
+    exprs = {
+        "root": [X.T],
+        "col_sums": [H.col_sums(X.T)],
+        "times_2": [X.T * 2.0],
+        "mm_and_col_sums": [X.T @ y, H.col_sums(X.T)],
+    }[use]
+    roots = [e.hop for e in exprs]
+    binds = {"X": CSR.from_dense(a), "y": _rand(30, 1, 64)}
+    xt = binds["X"].transpose()
+    calls = _count_transposes(monkeypatch)
+    got = execute_base(roots, binds)
+    if use == "root":
+        _assert_same(got[0], xt)
+    assert len(calls) == 1  # built once, for the consumer that is no matmult
+    for g, r in zip(got, _explicit(roots, binds)):
+        _assert_same(g, r)
+
+
+@pytest.mark.parametrize("mode", ["base", "fused"])
+@pytest.mark.parametrize("algo", ["l2svm", "glm", "mlogreg"])
+def test_sparse_algorithms_build_no_transpose(algo, mode, monkeypatch):
+    X = mldata.sparse_features(200, 30, 0.2, seed=65)
+    y = mldata.binary_labels(X)
+    run = {
+        "l2svm": lambda: l2svm.run(Engine(mode), X, y, l2svm.L2SVMConfig(max_iter=1)),
+        "glm": lambda: glm.run(
+            Engine(mode), X, (y > 0).astype(np.float64), glm.GLMConfig(max_iter=1, max_inner=1)),
+        "mlogreg": lambda: mlogreg.run(
+            Engine(mode), X, mldata.onehot_labels(200, 2, seed=66)[:, :1],
+            mlogreg.MLogregConfig(k=2, max_iter=1, max_inner=1)),
+    }[algo]
+    calls = _count_transposes(monkeypatch)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "TransposedCSR", CSR.transpose)
+        ref = run()
+    assert calls  # the algorithm does run a sparse t(X)
+    calls.clear()
+    got = run()
+    assert not calls
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert np.array_equal(np.asarray(got[key]), np.asarray(ref[key])), key
+
+
+@pytest.mark.parametrize("plan", ["fused", "gen"])
+def test_fused_operators_read_a_transposed_view_as_its_csr(plan):
+    # hand-coded (tak+*) and generated operators over a TransposedCSR input
+    c = CSR.from_dense(_sparse_case(67))
+    Z, D = H.var("Z", 20, 30, 0.2), H.var("D", 20, 30)
+    roots = [H.sum_(Z * D).hop, H.row_sums(Z * D).hop]
+    compiled = plan_fused(roots) if plan == "fused" else compile_dag(roots)
+    assert compiled.n_fused >= 1
+    d = _rand(20, 30, 68)
+    got = execute_plan(compiled, {"Z": TransposedCSR(c), "D": d})
+    ref = execute_plan(compiled, {"Z": c.transpose(), "D": d})
+    for g, r in zip(got, ref):
+        _assert_same(g, r)

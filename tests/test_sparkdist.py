@@ -457,3 +457,25 @@ def test_engine_releases_its_broadcasts(spark, mode, monkeypatch):
     kmeans.run(SparkEngine(spark, mode), rb, cfg, init_C=x[:3].copy())
     assert created
     assert [b for b in created if id(b) not in released] == []
+
+
+@pytest.mark.parametrize("mode", ["base", "fused", "gen"])
+def test_engine_local_sparse_transpose_feeds_distributed_ops(spark, mode):
+    # t(X) of a local CSR stays a lazy local view; a distributed
+    # operator that reads it gets (or broadcasts) the CSR X.transpose()
+    n, m = 40, 6
+    x = _rand(n, m, 47)
+    x[x < 0.6] = 0.0
+    e, d = _rand(n, 3, 48), _rand(m, n, 49)
+    X, E, D = H.var("X", n, m, 0.4), H.var("E", n, 3), H.var("D", m, n)
+    exprs = [X.T @ E, H.sum_(X.T * D), H.row_sums(X.T * D)]
+    binds = {
+        "X": CSR.from_dense(x),
+        "E": RowBlockMatrix.from_matrix(spark, e, block_rows=BS),
+        "D": RowBlockMatrix.from_matrix(spark, d, block_rows=BS),
+    }
+    got = SparkEngine(spark, mode)(exprs, binds)
+    refs = execute_base([expr.hop for expr in exprs], {"X": CSR.from_dense(x), "E": e, "D": d})
+    for g, r in zip(got, refs):
+        g = g.to_numpy() if isinstance(g, RowBlockMatrix) else g
+        np.testing.assert_allclose(np.asarray(g, dtype=float), np.asarray(r, dtype=float), atol=1e-12)

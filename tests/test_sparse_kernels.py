@@ -1,15 +1,18 @@
 """The CSR kernel set (repro.lina.sparse): every scatter-add and the
 transpose, checked against dense numpy and, bit for bit, against the
 unbuffered ``np.add.at`` scatters and the two-key ``np.lexsort`` they
-replace."""
+replace, and the lazy transpose ``TransposedCSR``."""
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core import hop as H
 from repro.core import vectlib as vl
+from repro.core.pipeline import compile_dag, execute_plan, plan_fused
 from repro.core.runtime import _exec_cellwise
-from repro.lina.sparse import CSR
+from repro.lina.sparse import CSR, TransposedCSR
 
 
 def _holey(n=9, m=7, seed=0):
@@ -173,3 +176,76 @@ def test_cell_sparse_row_agg_scalar_body(name):
     got = _exec_cellwise(_row_agg_op(lambda v, b: 2.0, 0), {0: c})
     assert got.dtype == np.float64 and got.shape == (c.shape[0], 1)
     np.testing.assert_array_equal(got[:, 0], 2.0 * c.row_nnz())
+
+
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_outer_right_acc_reads_v_by_column_ids(k):
+    # V with the column ids gives the bits of the nnz×k gather V[cix]
+    g = np.random.default_rng(k)
+    w = g.random(60) - 0.5
+    rixv, cixv = np.sort(g.integers(0, 8, 60)), g.integers(0, 11, 60)
+    v = g.random((11, k)) - 0.5
+    out = vl.outer_right_acc(w, rixv, v, 8, k, cixv)
+    assert out.dtype == np.float64 and out.shape == (8, k)
+    assert np.array_equal(out, vl.outer_right_acc(w, rixv, v[cixv], 8, k))
+
+
+# ------------------------------------------------- lazy transpose (t(X))
+@pytest.mark.parametrize("name", MATRICES)
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_transposed_view_matmults_build_nothing(name, k):
+    c = CSR.from_dense(MATRICES[name])
+    n, m = c.shape
+    g = np.random.default_rng(k)
+    b, a = g.random((n, k)) - 0.5, g.random((k, m)) - 0.5
+    t, ref = TransposedCSR(c), c.transpose()
+    got = t.spmm(b)  # Xᵀ B
+    assert got.dtype == np.float64 and got.shape == (m, k)
+    assert np.array_equal(got, ref.spmm(b))
+    got = t.tspmm(a.T).T  # A Xᵀ
+    assert got.shape == (k, n)
+    assert np.array_equal(got, ref.tspmm(a.T).T)
+    assert t.shape == (m, n) and "built" not in vars(t)
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_transposed_view_builds_the_transpose_once(name, monkeypatch):
+    c = CSR.from_dense(MATRICES[name])
+    ref = c.transpose()
+    calls = []
+    orig = CSR.transpose
+    monkeypatch.setattr(CSR, "transpose", lambda self: calls.append(1) or orig(self))
+    t = TransposedCSR(c)
+    for got, want in zip((t.indptr, t.indices, t.values), (ref.indptr, ref.indices, ref.values)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    np.testing.assert_array_equal(t.to_dense(), MATRICES[name].T)
+    assert np.array_equal(t.col_sums(), ref.col_sums())
+    assert len(calls) == 1
+
+
+def test_transposed_view_pickles_as_plain_csr():
+    c = CSR.from_dense(MATRICES["holey"])
+    back = pickle.loads(pickle.dumps(TransposedCSR(c)))
+    assert type(back) is CSR
+    ref = c.transpose()
+    for got, want in zip((back.indptr, back.indices, back.values), (ref.indptr, ref.indices, ref.values)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("plan", ["fused", "gen"])
+def test_outer_right_mm_keeps_the_gather_bits(plan):
+    # wdivmm (Fused) and the Outer right_mm skeleton (Gen) against the
+    # scatter of the nnz×k gather V[cix] they used to build
+    g = np.random.default_rng(9)
+    x = g.random((40, 30))
+    x[x < 0.8] = 0.0
+    u, v = g.random((40, 20)) - 0.5, g.random((30, 20)) - 0.5
+    X, U, V = H.var("X", 40, 30, 0.2), H.var("U", 40, 20), H.var("V", 30, 20)
+    roots = [(((X != 0) * (U @ V.T)) @ V).hop]
+    compiled = plan_fused(roots) if plan == "fused" else compile_dag(roots)
+    assert compiled.n_fused == 1
+    c = CSR.from_dense(x)
+    (got,) = execute_plan(compiled, {"X": c, "U": u, "V": v})
+    rix, cix = c.row_index(), c.indices
+    w = np.einsum("ij,ij->i", u[rix], v[cix]) * (c.values != 0)
+    assert np.array_equal(got, _add_at(rix, w[:, None] * v[cix], (40, 20)))
