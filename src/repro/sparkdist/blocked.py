@@ -7,12 +7,14 @@ restricted to row-wise blocking (all Table-6 algorithms satisfy the Row
 template's distributed constraint ``ncol(X) ≤ B_c``, so a single block
 spans full rows).
 
-The block primitives return their result *unmaterialized* (a lazy
-DataFrame). The caller places it, as SystemML's hybrid runtime does:
-``SparkBackend`` either collects a narrow result to the driver
-(``to_numpy``, one job) or keeps it distributed (``materialize``,
-persist + count). Fusion pays off by executing whole chains inside one
-``mapInPandas`` pass, so fewer results are placed at all.
+The block primitives return their result *unmaterialized*; a per-block
+map's (``map_bid``) is *pending*: a map or reduce over it composes the
+two block functions, so ``rowSums(X^2)`` is one ``mapInPandas`` pass
+over ``X``, as SystemML's lazy Spark instructions pipeline. The caller
+places each result as SystemML's hybrid runtime does: ``SparkBackend``
+collects a narrow one to the driver (``to_numpy``, one job), leaves a
+pending one that one operator reads, and persists any other
+(``materialize``, persist + count).
 """
 from __future__ import annotations
 
@@ -38,11 +40,20 @@ def _deser(b: bytes):
 
 @dataclass(eq=False)  # identity equality: DataFrame __eq__ yields a Column
 class RowBlockMatrix:
-    df: DataFrame
+    _df: DataFrame | None  # built on first use while a map is pending
     nrows: int
     ncols: int
     block_rows: int
     sparsity: float = 1.0  # metadata for size estimation / template choice
+    # a pending map: fn(bid, block) over the blocks of src (never pending)
+    src: "RowBlockMatrix | None" = None
+    fn: object = None
+
+    @property
+    def df(self) -> DataFrame:
+        if self._df is None:
+            self._df = map_rows(self.src.df, self.fn)
+        return self._df
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -62,20 +73,15 @@ class RowBlockMatrix:
     ) -> "RowBlockMatrix":
         """Distribute a local dense ndarray or CSR row-wise."""
         if isinstance(X, CSR):
-            n, m = X.shape
-            sp = X.sparsity
-            rows = [
-                (b, _ser(X.row_slice(lo, min(n, lo + block_rows))))
-                for b, lo in enumerate(range(0, n, block_rows))
-            ]
+            sp, row_slice = X.sparsity, X.row_slice
         else:
             X = np.asarray(X, dtype=np.float64)
-            n, m = X.shape
-            sp = 1.0
-            rows = [
-                (b, _ser(np.ascontiguousarray(X[lo : min(n, lo + block_rows)])))
-                for b, lo in enumerate(range(0, n, block_rows))
-            ]
+            sp, row_slice = 1.0, lambda lo, hi: np.ascontiguousarray(X[lo:hi])
+        n, m = X.shape
+        rows = [
+            (b, _ser(row_slice(lo, min(n, lo + block_rows))))
+            for b, lo in enumerate(range(0, n, block_rows))
+        ]
         df = spark.createDataFrame(rows, schema=BLOCK_SCHEMA)
         if n_partitions:
             df = df.repartition(n_partitions, "bid")
@@ -85,12 +91,14 @@ class RowBlockMatrix:
     def materialize(self) -> "RowBlockMatrix":
         """Persist + force computation: one distributed instruction's
         materialized intermediate (the thing fusion eliminates)."""
-        self.df = self.df.persist()
-        self.df.count()
+        self._df = self.df.persist()
+        self.src = self.fn = None
+        self._df.count()
         return self
 
     def unpersist(self) -> None:
-        self.df.unpersist()
+        if self.src is None:  # a pending map has nothing persisted
+            self.df.unpersist()
 
     # ------------------------------------------------------------- collect
     def to_numpy(self) -> np.ndarray:
@@ -104,18 +112,33 @@ class RowBlockMatrix:
         return out
 
     # ------------------------------------------------- generic block mapper
+    def map_bid(self, fn, ncols_out: int | None = None) -> "RowBlockMatrix":
+        """The pending map ``fn(bid, block) -> block`` over this matrix's
+        blocks."""
+        src, fn = self._composed(fn)
+        ncols = ncols_out if ncols_out is not None else self.ncols
+        return RowBlockMatrix(None, self.nrows, ncols, self.block_rows, src=src, fn=fn)
+
+    def reduce_bid(self, fn, combine):
+        """``fn(bid, block) -> partial`` per block, combined per partition
+        and then on the driver (one job)."""
+        src, fn = self._composed(fn)
+        return reduce_rows(src.df, fn, combine)
+
+    def _composed(self, fn):
+        """(matrix, fn over its blocks): a pending map runs in front."""
+        if self.src is None:
+            return self, fn
+        f = self.fn
+        return self.src, lambda bid, x: fn(bid, f(bid, x))
+
     def map_blocks(self, fn, ncols_out: int | None = None) -> "RowBlockMatrix":
-        """Apply ``fn(block) -> block`` per row block via mapInPandas."""
-        df = map_rows(self.df, lambda bid, x: fn(x))
-        return RowBlockMatrix(
-            df, self.nrows, ncols_out if ncols_out is not None else self.ncols,
-            self.block_rows,
-        )
+        """The pending map ``fn(block) -> block``."""
+        return self.map_bid(lambda bid, x: fn(x), ncols_out)
 
     def reduce_blocks(self, fn, combine):
-        """fn(block) -> partial; combine(a, b) -> partial. Runs fn per
-        block distributed, combines partials on the driver (k ≪ n)."""
-        return reduce_rows(self.df, lambda bid, x: fn(x), combine)
+        """fn(block) -> partial; combine(a, b) -> partial (``reduce_bid``)."""
+        return self.reduce_bid(lambda bid, x: fn(x), combine)
 
 
 # ---------------------------------------------- the two block primitives

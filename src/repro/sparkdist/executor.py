@@ -7,11 +7,12 @@ way and runs the plan with the same ``execute_plan``, against a
 types: an operator touching a distributed operand runs as a distributed
 instruction, everything else runs locally at the driver — SystemML's
 hybrid runtime plans. A distributed instruction's result is placed by
-its shape: one narrower than its widest distributed operand that fits
-the driver budget is collected (one Spark job), so its consumers run
-locally; any other is materialized (persist + count). After a plan the
-backend unpersists the distributed intermediates it produced, never the
-caller's inputs, and the broadcasts its instructions created.
+one rule: collect narrow results (one Spark job), so their readers run
+locally; pipeline a pending per-block map that one operator reads into
+that reader's pass; persist the rest, plan roots included (persist +
+count). After a plan the backend unpersists the distributed
+intermediates it produced, never the caller's inputs, and the
+broadcasts its instructions created.
 
 Gen modes compile with a cost model whose ``local_mem_budget`` reflects
 the driver budget, so plan selection reasons about distributed reads,
@@ -29,7 +30,7 @@ from repro.core import executor as local_ex
 from repro.core import vectlib as vl
 from repro.core.cost import CostModel, OpSpec
 from repro.core.fused_lib import HandOp
-from repro.core.hop import Hop
+from repro.core.hop import Hop, consumers
 from repro.core.pipeline import CodegenContext, CompiledPlan, execute_plan, run_local
 from repro.lina.sparse import CSR
 from repro.sparkdist import ops
@@ -106,32 +107,19 @@ def _hand_kernel_dist(spark, op_name: str, hand, env):
         if not isinstance(X, RowBlockMatrix):
             return None  # local pattern: fall back to the local hand kernel
         if op_name == "tak^2" or inner.inputs[1].hid == x_hop.hid:
-            return float(
-                X.reduce_blocks(
-                    lambda x: (
-                        float(np.dot(x.values, x.values))
-                        if isinstance(x, CSR)
-                        else float(np.dot(x.ravel(), x.ravel()))
-                    ),
-                    lambda p, q: p + q,
-                )
-            )
-        y_hop = inner.inputs[1]
-        Y = env[y_hop.hid]
+
+            def sq(x):
+                v = x.values if isinstance(x, CSR) else x.ravel()
+                return float(np.dot(v, v))
+
+            return float(X.reduce_blocks(sq, np.add))
+        Y = env[inner.inputs[1].hid]
         if isinstance(Y, RowBlockMatrix):
-            return float(
-                zip_reduce(
-                    X,
-                    [Y],
-                    lambda x, y: float(
-                        np.dot(
-                            (x.to_dense() if isinstance(x, CSR) else x).ravel(),
-                            (y.to_dense() if isinstance(y, CSR) else y).ravel(),
-                        )
-                    ),
-                    lambda p, q: p + q,
-                )
-            )
+
+            def dot(x, y):
+                return float(np.dot(ops._dense(x).ravel(), ops._dense(y).ravel()))
+
+            return float(zip_reduce(X, [Y], dot, np.add))
     return None  # no distributed kernel for this placement
 
 
@@ -146,12 +134,13 @@ class SparkBackend:
     A distributed instruction's matrix result is placed once, here: if
     it is narrower than its widest distributed operand and its memory
     estimate fits ``cm.local_mem_budget``, it is collected to the driver
-    (one job) and its consumers run locally; otherwise it is
-    materialized. The broadcasts the instructions create are recorded
-    and unpersisted with the plan's intermediates."""
+    (one job); a pending map whose hop is in ``pipelined`` stays
+    pending; any other is materialized. The broadcasts the instructions
+    create are recorded and unpersisted with the plan's intermediates."""
 
     spark: object
     cm: CostModel
+    pipelined: set = field(default_factory=set)  # hids, see single_reader
     bcasts: list = field(default_factory=list)
 
     def basic(self, h: Hop, env: dict, bindings: dict):
@@ -176,13 +165,15 @@ class SparkBackend:
         return None
 
     def _place(self, out, h: Hop, operands: list):
-        """Collect a narrow, small distributed result; materialize any
-        other one. Local results pass through."""
+        """Collect a narrow, small distributed result, pipeline a pending
+        one with a single reader, materialize any other one."""
         if not isinstance(out, RowBlockMatrix):
             return out
         widest = max(v.ncols for v in operands if isinstance(v, RowBlockMatrix))
         if out.ncols < widest and h.memory_bytes() <= self.cm.local_mem_budget:
             return out.to_numpy()
+        if out.src is not None and h.hid in self.pipelined:
+            return out
         return out.materialize()
 
     def release(self, values: list, keep: list) -> None:
@@ -213,4 +204,14 @@ class SparkEngine(Engine):
         return self._run(exprs, bindings)
 
     def _execute_plan(self, plan: CompiledPlan, bindings: dict) -> list:
-        return execute_plan(plan, bindings, SparkBackend(self.spark, self.cm))
+        backend = SparkBackend(self.spark, self.cm, single_reader(plan.roots))
+        return execute_plan(plan, bindings, backend)
+
+
+def single_reader(roots: list[Hop]) -> set[int]:
+    """The non-root hops read exactly once, and not by ``t`` (which hands
+    its operand on to its own readers)."""
+    cons = consumers(roots)
+    return {h for h, cs in cons.items() if len(cs) == 1 and cs[0].op != "t"} - {
+        r.hid for r in roots
+    }

@@ -10,8 +10,9 @@ input's row blocks:
 * local side inputs are broadcast and sliced per block — every broadcast
   is a real, measurable cost (the Gen-FA distributed slowdown story);
 * no_agg/row_agg variants return a new, unmaterialized distributed
-  matrix for the caller to place; col/full aggregates combine
-  per-partition partials on the driver.
+  matrix for the caller to place (a pending map without distributed
+  sides); col/full aggregates combine per-partition partials on the
+  driver.
 """
 from __future__ import annotations
 
@@ -54,7 +55,8 @@ def execute_dist(spark, spoof: SpoofOp, values: dict[int, object]):
     }
     bc_op = broadcast_value(spark, spoof)
     bc_sides = broadcast_value(spark, local_vals)
-    df, names = join_blocks(main, [values[h] for h in dist_hids])
+    if dist_hids:  # without them, the pass is main's own (map_bid/reduce_bid)
+        df, names = join_blocks(main, [values[h] for h in dist_hids])
 
     variant, agg_fn = cp.variant, cp.agg_fn or "sum"
     n_out = cp.n_outputs
@@ -82,6 +84,8 @@ def execute_dist(spark, spoof: SpoofOp, values: dict[int, object]):
             r = block_exec(*row)
             return r if isinstance(r, CSR) else np.atleast_2d(np.asarray(r))
 
+        if not dist_hids:
+            return main.map_bid(block_out, out_cols)
         return RowBlockMatrix(map_rows(df, block_out, names), n, out_cols, bs)
 
     # aggregate variants: partial per partition, combined on the driver
@@ -92,7 +96,10 @@ def execute_dist(spark, spoof: SpoofOp, values: dict[int, object]):
             return tuple(_COMBINE[f](x, y) for f, x, y in zip(fns, a, b))
         return _COMBINE[fns[0]](a, b)
 
-    acc = reduce_rows(df, block_exec, combine, names)
+    if dist_hids:
+        acc = reduce_rows(df, block_exec, combine, names)
+    else:
+        acc = main.reduce_bid(block_exec, combine)
     if n_out > 1:
         return list(acc)
     if variant == "full_agg":

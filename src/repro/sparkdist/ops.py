@@ -1,9 +1,10 @@
 """Distributed basic operators over RowBlockMatrix (SystemML's Spark
 instructions) — the baseline the fused operators beat. An operator
 whose result is a matrix returns it unmaterialized, for the caller to
-place (``SparkBackend`` collects narrow results to the driver and
-materializes the rest); aggregates and ``t(X) %*% ·`` / ``A %*% X``
-combine block partials on the driver and return local values.
+place (``SparkBackend`` collects narrow results to the driver, leaves
+single-reader ones pending and materializes the rest); aggregates and
+``t(X) %*% ·`` / ``A %*% X`` combine block partials on the driver and
+return local values.
 
 Small operands (vectors, narrow matrices) are shipped to executors via
 explicit ``SparkContext.broadcast``, so broadcast overhead is real and
@@ -23,9 +24,7 @@ import numpy as np
 from repro.core import vectlib as vl
 from repro.core.executor import _BINARY_FN, _UNARY_FN
 from repro.lina.sparse import CSR
-from repro.sparkdist.blocked import (
-    RowBlockMatrix, map_rows, reduce_rows, zip_blocks, zip_reduce,
-)
+from repro.sparkdist.blocked import RowBlockMatrix, zip_blocks, zip_reduce
 
 
 @dataclass
@@ -96,16 +95,10 @@ def _with_local(spark, X: RowBlockMatrix, v, fn):
     bc = broadcast_value(spark, v)
     if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[0] == X.nrows and X.nrows > 1:
         bs = X.block_rows
-        return _map_with_bid(
-            X, lambda bid, x: fn(_dense(x), bc.value[bid * bs : bid * bs + x.shape[0]])
+        return X.map_bid(
+            lambda bid, x: fn(_dense(x), bc.value[bid * bs : bid * bs + x.shape[0]])
         )
     return X.map_blocks(lambda x: fn(_dense(x), bc.value))
-
-
-def _map_with_bid(a: RowBlockMatrix, fn):
-    """map_blocks variant that passes the block id (for row-aligned local
-    side slicing)."""
-    return RowBlockMatrix(map_rows(a.df, fn), a.nrows, a.ncols, a.block_rows)
 
 
 def unary(spark, op: str, a: RowBlockMatrix):
@@ -144,7 +137,7 @@ def sum_blocks(X: RowBlockMatrix, part):
     """Σ over row blocks of ``part(block, first_row)``, summed on the
     driver (one job)."""
     bs = X.block_rows
-    return reduce_rows(X.df, lambda bid, x: part(x, bid * bs), np.add)
+    return X.reduce_bid(lambda bid, x: part(x, bid * bs), np.add)
 
 
 # how block partials of a full or column aggregate combine
@@ -164,4 +157,5 @@ def aggregate(spark, op: str, a: RowBlockMatrix):
 
 
 def rix(spark, a: RowBlockMatrix, c1: int, c2: int):
-    return a.map_blocks(lambda x: _dense(x)[:, c1:c2], ncols_out=c2 - c1)
+    # a contiguous copy, as a pickled block is, for a reader that pipelines it
+    return a.map_blocks(lambda x: np.ascontiguousarray(_dense(x)[:, c1:c2]), c2 - c1)

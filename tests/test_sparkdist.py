@@ -417,6 +417,112 @@ def test_engine_gen_rowsums_is_one_job(spark):
     assert len(jobs) == 1
 
 
+def _count_materialize(monkeypatch) -> list:
+    """(matrix, was it a pending map) per ``RowBlockMatrix.materialize``
+    call."""
+    calls, orig = [], RowBlockMatrix.materialize
+
+    def materialize(m):
+        calls.append((m, m.src is not None))
+        return orig(m)
+
+    monkeypatch.setattr(RowBlockMatrix, "materialize", materialize)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["base", "fused"])
+def test_engine_rowsums_of_square_is_one_pass(spark, mode, monkeypatch):
+    # X^2 has one reader, so it stays a pending map that rowSums runs in
+    # its own pass over X: one job, nothing persisted
+    n, m = 60, 8
+    x = _rand(n, m, 50)
+    X = H.var("X", n, m)
+    rb = RowBlockMatrix.from_matrix(spark, x, block_rows=BS).materialize()
+    calls = _count_materialize(monkeypatch)
+    sc = spark.sparkContext
+    sc.setJobGroup(f"test-pipelined-{mode}", f"{mode} rowSums(X^2)")
+    try:
+        got = SparkEngine(spark, mode)(H.row_sums(X**2.0), {"X": rb})
+        jobs = sc.statusTracker().getJobIdsForGroup(f"test-pipelined-{mode}")
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        rb.unpersist()
+    np.testing.assert_allclose(got, (x * x).sum(1, keepdims=True))
+    assert len(jobs) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("budget", [48e6, 0.0])
+@pytest.mark.parametrize("mode", ["base", "fused", "gen"])
+def test_pipelining_keeps_the_bits(spark, mode, budget):
+    # the same plans with every wide result persisted (an empty
+    # ``pipelined`` set) give the same bits: each block runs the same
+    # kernels in the same order; a zero driver budget collects nothing,
+    # so the column slices are pipelined too
+    from repro.core.cost import CostModel
+    from repro.core.pipeline import execute_plan
+    from repro.sparkdist.executor import SparkBackend
+
+    n, m = 50, 8
+    x, z = _rand(n, m, 54), _rand(n, 4, 55)
+    X, Z = H.var("X", n, m), H.var("Z", n, 4)
+    exprs = [
+        H.row_sums(X**2.0),
+        H.row_sums(H.exp(X.cols(1, 5) * 0.5) * Z),
+        H.row_sums(X.cols(1, 7)),  # a view's row sums would differ in bits
+    ]
+    binds = {
+        "X": RowBlockMatrix.from_matrix(spark, x, block_rows=BS),
+        "Z": RowBlockMatrix.from_matrix(spark, z, block_rows=BS),
+    }
+    eng = SparkEngine(spark, mode, CostModel(local_mem_budget=budget))
+    got = eng(exprs, binds)
+    (plan,) = eng._plans.values()
+    persisted = execute_plan(plan, binds, SparkBackend(spark, eng.cm))
+    for g, p in zip(got, persisted):
+        if isinstance(g, RowBlockMatrix):
+            g, p = g.to_numpy(), p.to_numpy()
+        np.testing.assert_array_equal(g, p)
+
+
+def test_engine_persists_a_result_with_two_readers_once(spark, monkeypatch):
+    n, m = 50, 6
+    x = _rand(n, m, 51)
+    X = H.var("X", n, m)
+    Y = X * 2.0
+    exprs = [H.row_sums(Y), H.col_sums(Y)]
+    rb = RowBlockMatrix.from_matrix(spark, x, block_rows=BS)
+    calls = _count_materialize(monkeypatch)
+    got = SparkEngine(spark, "base")(exprs, {"X": rb})
+    refs = execute_base([e.hop for e in exprs], {"X": x})
+    for g, r in zip(got, refs):
+        np.testing.assert_allclose(g, r, atol=1e-12)
+    ((y, pending),) = calls  # X*2, persisted once and released after the plan
+    assert pending and y.ncols == m
+    assert not y.df.storageLevel.useMemory
+
+
+@pytest.mark.parametrize("mode", ["base", "fused", "gen", "gen_fa", "gen_fnr"])
+def test_engine_pending_result_feeds_a_bid_join(spark, mode, monkeypatch):
+    # X*2 has one reader, a dist x dist cell-wise op: its pending map runs
+    # inside the bid join's pass
+    n, m = 45, 6
+    x, z = _rand(n, m, 52), _rand(n, m, 53)
+    X, Z = H.var("X", n, m), H.var("Z", n, m)
+    expr = H.row_sums((X * 2.0) * Z)
+    binds = {
+        "X": RowBlockMatrix.from_matrix(spark, x, block_rows=BS),
+        "Z": RowBlockMatrix.from_matrix(spark, z, block_rows=BS),
+    }
+    calls = _count_materialize(monkeypatch)
+    got = SparkEngine(spark, mode)(expr, binds)
+    (ref,) = execute_base([expr.hop], {"X": x, "Z": z})
+    assert isinstance(got, np.ndarray)
+    np.testing.assert_allclose(got, ref, atol=1e-12)
+    # Base/Fused persist the join's result (not a map), never X*2
+    assert not any(pending for _, pending in calls)
+
+
 def test_engine_same_width_result_stays_distributed(spark):
     n, m = 50, 6
     x = _rand(n, m, 46)
