@@ -145,8 +145,6 @@ def eval_hop(h: Hop, env: dict[int, Value], bindings: dict[str, Value]) -> Value
         return _UNARY_FN[h.op](_as2d(x))
     if h.op.startswith("ua("):
         return _eval_agg(h.op, ins[0])
-    if h.op == "spoof":
-        return h.meta["spoof"].execute(ins)
     raise ValueError(f"unknown op {h.op}")
 
 

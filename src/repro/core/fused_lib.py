@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core import vectlib
+from repro.core.cplan import CPlan
 from repro.core.executor import Value
 from repro.core.hop import Hop, consumers, postorder
 from repro.lina.compressed import CLAMatrix
@@ -33,10 +34,42 @@ def _dense(x):
 
 @dataclass
 class HandOp:
+    """A matched hand-coded operator. A pattern over a main input (tak,
+    mmchain) has a ``cplan`` that binds its data as a generated
+    operator's does (main input, sides, the sides read whole, variant;
+    no op order: the kernel is hand-written), so the distributed runtime
+    runs it as it runs a generated one (paper §2.2). A HandOp pickles as
+    its root and is matched again on unpickling, so a wrapped ``fn``
+    never ships."""
+
     root: Hop
     name: str
     fn: Callable[[dict[int, Value]], Value]  # env-by-hid -> value
     interior: set[int]  # covered non-root hops
+    cplan: CPlan | None = None  # None: no main input (wdivmm, wsloss, wcemm)
+
+    def __reduce__(self):
+        return _match_root, (self.root,)
+
+    @property
+    def input_hids(self) -> list[int]:
+        return [self.cplan.main_hid, *self.cplan.side_hids]
+
+    def execute(self, input_values: list) -> Value:
+        """The kernel over values aligned with ``input_hids``."""
+        return self.fn(dict(zip(self.input_hids, input_values)))
+
+
+def _binding(h: Hop, template: str, variant: str, x: Hop, aligned=(), whole=()):
+    """The CPlan of a pattern rooted at h whose partials over the row
+    blocks of main input x are summed; None when one input would be read
+    both row-aligned and whole."""
+    whole_hids = {s.hid for s in whole}
+    if any(s.hid in whole_hids for s in aligned):
+        return None
+    sides = [s.hid for s in [*whole, *aligned] if s.hid != x.hid]
+    return CPlan(template, variant, h, [], x.hid, sides, {}, False, "sum",
+                 meta={"whole_sides": whole_hids})
 
 
 # ------------------------------------------------------------------ kernels
@@ -153,16 +186,18 @@ def _outer_mm(h: Hop) -> tuple[Hop, Hop] | None:
     return h.inputs[0], h.inputs[1]
 
 
-def _match_one(h: Hop) -> tuple[str, Callable, set[int]] | None:
-    """Try the fixed pattern catalogue at hop h (root of the pattern)."""
+def _match_one(h: Hop) -> tuple | None:
+    """Try the fixed pattern catalogue at hop h (root of the pattern):
+    (name, kernel, interior hids[, cplan])."""
     # --- sum(X ⊙ Y) / sum(X^2) ------------------------------------------
     if _is(h, "ua(+)"):
         inner = h.inputs[0]
         if _is(inner, "b(*)") and inner.inputs[0].op == "leaf" and inner.inputs[1].op == "leaf":
-            return "tak+*", _k_ta_mult_sum(inner.inputs[0], inner.inputs[1]), {inner.hid}
+            x, y = inner.inputs
+            return "tak+*", _k_ta_mult_sum(x, y), {inner.hid}, _binding(h, "C", "full_agg", x, [y])
         if _is(inner, "b(^)") and _lit(inner.inputs[1]) == 2.0 and inner.inputs[0].op == "leaf":
             x = inner.inputs[0]
-            return "tak^2", _k_ta_mult_sum(x, x), {inner.hid}
+            return "tak^2", _k_ta_mult_sum(x, x), {inner.hid}, _binding(h, "C", "full_agg", x)
         # sum(X ⊙ log(UVᵀ + eps))
         if _is(inner, "b(*)"):
             x, lg = inner.inputs
@@ -201,19 +236,24 @@ def _match_one(h: Hop) -> tuple[str, Callable, set[int]] | None:
         rhs = h.inputs[1]
         if rhs.ncols == 1:  # hand-coded mmchain applies to m-v chains only
             if _is(rhs, "ba(+*)") and rhs.inputs[0].hid == X.hid:
+                v = rhs.inputs[1]
                 return (
                     "mmchain",
-                    _k_mmchain(X, rhs.inputs[1], None),
+                    _k_mmchain(X, v, None),
                     {h.inputs[0].hid, rhs.hid},
+                    _binding(h, "R", "col_agg_t", X, whole=[v]),
                 )
             if _is(rhs, "b(*)"):
                 a, b = rhs.inputs
                 for w, mv in ((a, b), (b, a)):
-                    if _is(mv, "ba(+*)") and mv.inputs[0].hid == X.hid:
+                    # the weights are a vector row-aligned with X
+                    if _is(mv, "ba(+*)") and mv.inputs[0].hid == X.hid and w.nrows == X.nrows:
+                        v = mv.inputs[1]
                         return (
                             "mmchain*",
-                            _k_mmchain(X, mv.inputs[1], w),
+                            _k_mmchain(X, v, w),
                             {h.inputs[0].hid, rhs.hid, mv.hid},
+                            _binding(h, "R", "col_agg_t", X, [w], whole=[v]),
                         )
     # --- wdivmm-right: ((X != 0) ⊙ UVᵀ) %*% V ---------------------------
     if _is(h, "ba(+*)"):
@@ -246,21 +286,24 @@ def plan_hand_fused(roots: list[Hop]) -> dict[int, HandOp]:
     for h in reversed(postorder(roots)):
         if h.hid in covered or h.hid in chosen:
             continue
-        m = _match_one(h)
-        if m is None:
-            continue
-        name, fn, interior = m
-        if any(i in root_hids for i in interior):
+        op = _match_root(h)
+        if op is None or any(i in root_hids for i in op.interior):
             continue
         ok = all(
-            all(c.hid in interior or c.hid == h.hid for c in cons.get(i, []))
-            for i in interior
+            all(c.hid in op.interior or c.hid == h.hid for c in cons.get(i, []))
+            for i in op.interior
         )
         if not ok:
             continue
-        chosen[h.hid] = HandOp(h, name, fn, interior)
-        covered |= interior
+        chosen[h.hid] = op
+        covered |= op.interior
     return chosen
+
+
+def _match_root(h: Hop) -> HandOp | None:
+    """The operator matched at h (also how a pickled HandOp is rebuilt)."""
+    m = _match_one(h)
+    return None if m is None else HandOp(h, *m)
 
 
 def execute_fused(roots: list[Hop], bindings: dict) -> list[Value]:

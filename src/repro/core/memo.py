@@ -83,10 +83,6 @@ class MemoTable:
     def distinct_types(self, hid: int) -> set[str]:
         return {e.type for e in self.entries(hid)}
 
-    def entries_of_type(self, hid: int, types: Iterable[str]) -> list[MemoEntry]:
-        ts = set(types)
-        return [e for e in self.entries(hid) if e.type in ts]
-
     def contains_type(self, hid: int, ttype: str) -> bool:
         return any(e.type == ttype for e in self.entries(hid))
 

@@ -240,9 +240,3 @@ TEMPLATE_ORDER = ["O", "M", "R", "C"]  # preference: sparsity-exploiting first
 
 # which template types an open plan of type T can absorb via merge
 MERGE_COMPATIBLE = {"C": {"C"}, "R": {"C", "R"}, "M": {"C"}, "O": {"C", "O"}}
-
-
-def is_sparse_driver(h: Hop) -> bool:
-    """An input qualifies as sparse driver when it is sparse and consumed
-    by a sparse-safe operation (checked at the consuming op)."""
-    return h.sparsity <= CONFIG.sparse_threshold and not h.is_scalar

@@ -23,18 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.algorithms.engine import Engine
 from repro.core import executor as local_ex
-from repro.core import vectlib as vl
 from repro.core.cost import CostModel, OpSpec
-from repro.core.fused_lib import HandOp
 from repro.core.hop import Hop, consumers
 from repro.core.pipeline import CodegenContext, CompiledPlan, execute_plan, run_local
-from repro.lina.sparse import CSR
 from repro.sparkdist import ops
-from repro.sparkdist.blocked import RowBlockMatrix, zip_reduce
+from repro.sparkdist.blocked import RowBlockMatrix
 from repro.sparkdist.fusedexec import execute_dist
 from repro.sparkdist.ops import TransposedRBM, is_dist
 
@@ -64,72 +59,14 @@ def eval_hop_hybrid(spark, h: Hop, env: dict, bindings: dict):
     raise ValueError(f"unsupported distributed op {h.op}")
 
 
-def _hand_kernel_dist(spark, op_name: str, hand, env):
-    """Distributed variants of the hand-coded kernels that SystemML ships
-    as Spark instructions (mmchain, tak)."""
-    root = hand.root
-    if op_name in ("mmchain", "mmchain*"):
-        X_hop = root.inputs[0].inputs[0]
-        X = env[X_hop.hid]
-        if not isinstance(X, RowBlockMatrix):
-            return None  # local pattern: fall back to the local hand kernel
-        rhs = root.inputs[1]
-        if op_name == "mmchain":
-            v_hop = rhs.inputs[1]
-            w_hop = None
-        else:
-            a, b = rhs.inputs
-            mv = a if a.op == "ba(+*)" else b
-            w_hop = b if mv is a else a
-            v_hop = mv.inputs[1]
-        bcv = ops.broadcast_value(spark, np.asarray(env[v_hop.hid]))
-        w_val = env[w_hop.hid] if w_hop is not None else None
-
-        def chain(x, w):
-            inner = vl.mm(x, bcv.value)
-            if w is not None:
-                inner = inner * w
-            return vl.tmm_acc(x, inner)
-
-        if isinstance(w_val, RowBlockMatrix):
-            # distributed weight vector: single-pass join on block id
-            return zip_reduce(X, [w_val], lambda x, w: chain(x, ops._dense(w)), np.add)
-        if w_val is None:
-            return ops.sum_blocks(X, lambda x, lo: chain(x, None))
-        bcw = ops.broadcast_value(spark, w_val)
-        return ops.sum_blocks(
-            X, lambda x, lo: chain(x, bcw.value[lo : lo + x.shape[0]])
-        )
-    if op_name in ("tak+*", "tak^2"):
-        inner = root.inputs[0]
-        x_hop = inner.inputs[0]
-        X = env[x_hop.hid]
-        if not isinstance(X, RowBlockMatrix):
-            return None  # local pattern: fall back to the local hand kernel
-        if op_name == "tak^2" or inner.inputs[1].hid == x_hop.hid:
-
-            def sq(x):
-                v = x.values if isinstance(x, CSR) else x.ravel()
-                return float(np.dot(v, v))
-
-            return float(X.reduce_blocks(sq, np.add))
-        Y = env[inner.inputs[1].hid]
-        if isinstance(Y, RowBlockMatrix):
-
-            def dot(x, y):
-                return float(np.dot(ops._dense(x).ravel(), ops._dense(y).ravel()))
-
-            return float(zip_reduce(X, [Y], dot, np.add))
-    return None  # no distributed kernel for this placement
-
-
 @dataclass
 class SparkBackend:
-    """Places each operator of a plan: a fused operator (hand-coded or
-    generated) runs its local kernel when no operand is distributed, its
-    distributed kernel when one exists for the operands' placement, and
-    otherwise returns None so the plan's covered hops run as basic
-    operators; a basic operator is placed by ``eval_hop_hybrid``.
+    """Places each operator of a plan. A fused operator, hand-coded or
+    generated, runs its local kernel when no operand is distributed, and
+    ``execute_dist``'s pass over its main input when that input is
+    distributed (its CPlan binds one); otherwise ``fused`` returns None
+    and the plan's covered hops run as basic operators. A basic operator
+    is placed by ``eval_hop_hybrid``.
 
     A distributed instruction's matrix result is placed once, here: if
     it is narrower than its widest distributed operand and its memory
@@ -154,15 +91,15 @@ class SparkBackend:
         ins = {h: env[h] for h in spec.input_hids}
         if not any(is_dist(v) for v in ins.values()):
             return run_local(spec, op, env)
+        if (
+            op.cplan is None
+            or not isinstance(ins.get(op.cplan.main_hid), RowBlockMatrix)
+            or any(isinstance(v, TransposedRBM) for v in ins.values())
+        ):
+            return None
         with ops.recording_broadcasts(self.bcasts):
-            if isinstance(op, HandOp):
-                return _hand_kernel_dist(self.spark, op.name, op, env)
-            if isinstance(ins.get(op.cplan.main_hid), RowBlockMatrix) and not any(
-                isinstance(v, TransposedRBM) for v in ins.values()
-            ):
-                out = execute_dist(self.spark, op, ins)
-                return self._place(out, spec.root, list(ins.values()))
-        return None
+            out = execute_dist(self.spark, op, ins)
+        return self._place(out, spec.root, list(ins.values()))
 
     def _place(self, out, h: Hop, operands: list):
         """Collect a narrow, small distributed result, pipeline a pending

@@ -1,10 +1,14 @@
-"""Distributed execution of generated fused operators (paper §2.2, §5.5).
+"""Distributed execution of fused operators (paper §2.2, §5.5).
 
-A ``SpoofOp`` is broadcast to executors as *source + metadata* (its
-compiled function is stripped on pickling); each executor process
-compiles it once on first use — the ship-class-and-JIT runtime
-integration. Execution is one ``mapInPandas`` pass over the main
-input's row blocks:
+The pass reads an operator's data binding from its CPlan (main input,
+sides, the sides read whole, aggregate variant) and calls its
+``execute`` per block, so generated and hand-coded operators run the
+same way: the skeleton owns the data access, never the kernel. The
+operator is broadcast to executors; a ``SpoofOp`` pickles as *source +
+metadata* and each executor process compiles it once on first use (the
+ship-class-and-JIT runtime integration), a ``HandOp`` pickles as its
+root hop and is matched again. Execution is one ``mapInPandas`` pass
+over the main input's row blocks:
 
 * distributed row-aligned side inputs are joined on ``bid``;
 * local side inputs are broadcast and sliced per block — every broadcast
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.runtime import SpoofOp
 from repro.lina.sparse import CSR
 from repro.sparkdist.blocked import RowBlockMatrix, join_blocks, map_rows, reduce_rows
 from repro.sparkdist.ops import broadcast_value
@@ -35,9 +38,10 @@ def _is_row_aligned(v, n: int, hid: int, whole_sides) -> bool:
     )
 
 
-def execute_dist(spark, spoof: SpoofOp, values: dict[int, object]):
-    """Execute a fused operator whose main input is distributed."""
-    cp = spoof.cplan
+def execute_dist(spark, op, values: dict[int, object]):
+    """Execute a fused operator (``SpoofOp`` or ``HandOp``) whose main
+    input is distributed."""
+    cp = op.cplan
     if cp.template == "O":
         raise NotImplementedError(
             "distributed Outer execution is out of scope (Table 6 has no "
@@ -53,14 +57,14 @@ def execute_dist(spark, spoof: SpoofOp, values: dict[int, object]):
     local_vals = {
         h: values[h] for h in cp.side_hids if h not in dist_hids
     }
-    bc_op = broadcast_value(spark, spoof)
+    bc_op = broadcast_value(spark, op)
     bc_sides = broadcast_value(spark, local_vals)
     if dist_hids:  # without them, the pass is main's own (map_bid/reduce_bid)
         df, names = join_blocks(main, [values[h] for h in dist_hids])
 
     variant, agg_fn = cp.variant, cp.agg_fn or "sum"
     n_out = cp.n_outputs
-    input_hids = list(spoof.input_hids)
+    input_hids = list(op.input_hids)
     main_hid = cp.main_hid
     whole_sides = cp.meta.get("whole_sides", set())
 

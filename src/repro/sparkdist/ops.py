@@ -40,10 +40,6 @@ class TransposedRBM:
         return (self.base.ncols, self.base.nrows)
 
 
-def _dense(x):
-    return x.to_dense() if isinstance(x, CSR) else x
-
-
 # the list that broadcasts are recorded into, set by recording_broadcasts;
 # a context variable, so the operators keep their (spark, ...) signatures
 # and concurrent threads record separately
@@ -77,7 +73,7 @@ def elementwise(spark, op: str, a, b):
     """Binary cell-wise op with at least one distributed operand."""
     fn = _BINARY_FN[op]
     if isinstance(a, RowBlockMatrix) and isinstance(b, RowBlockMatrix):
-        return zip_blocks(a, [b], lambda x, y: fn(_dense(x), _dense(y)))
+        return zip_blocks(a, [b], lambda x, y: fn(vl._dense(x), vl._dense(y)))
     if isinstance(a, RowBlockMatrix):
         return _with_local(spark, a, b, fn)
     if isinstance(b, RowBlockMatrix):
@@ -90,27 +86,27 @@ def _with_local(spark, X: RowBlockMatrix, v, fn):
     broadcast local operand, or — for a row-aligned local matrix — its
     rows of the block."""
     if isinstance(v, (float, int)):
-        return X.map_blocks(lambda x: fn(_dense(x), v))
-    v = _dense(v)
+        return X.map_blocks(lambda x: fn(vl._dense(x), v))
+    v = vl._dense(v)
     bc = broadcast_value(spark, v)
     if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[0] == X.nrows and X.nrows > 1:
         bs = X.block_rows
         return X.map_bid(
-            lambda bid, x: fn(_dense(x), bc.value[bid * bs : bid * bs + x.shape[0]])
+            lambda bid, x: fn(vl._dense(x), bc.value[bid * bs : bid * bs + x.shape[0]])
         )
-    return X.map_blocks(lambda x: fn(_dense(x), bc.value))
+    return X.map_blocks(lambda x: fn(vl._dense(x), bc.value))
 
 
 def unary(spark, op: str, a: RowBlockMatrix):
     fn = _UNARY_FN[op]
-    return a.map_blocks(lambda x: fn(_dense(x)))
+    return a.map_blocks(lambda x: fn(vl._dense(x)))
 
 
 def matmult(spark, a, b):
     """Distributed matrix multiply variants."""
     if isinstance(a, RowBlockMatrix) and not is_dist(b):
-        bc = broadcast_value(spark, _dense(b))
-        k = _dense(b).shape[1]
+        bc = broadcast_value(spark, vl._dense(b))
+        k = vl._dense(b).shape[1]
         return a.map_blocks(lambda x: vl.mm(x, bc.value), ncols_out=k)
     if isinstance(a, TransposedRBM):
         X = a.base
@@ -119,11 +115,11 @@ def matmult(spark, a, b):
             assert X.nrows == b.nrows
             return zip_reduce(X, [b], vl.tmm_acc, np.add)
         # t(X) %*% local y (n-aligned local matrix): ship y, slice per block
-        bc = broadcast_value(spark, _dense(b))
+        bc = broadcast_value(spark, vl._dense(b))
         return sum_blocks(X, lambda x, lo: vl.tmm_acc(x, bc.value[lo : lo + x.shape[0]]))
     if isinstance(b, RowBlockMatrix) and not is_dist(a):
         # local A (k×n) %*% X: ship A, sum of per-block A[:, rows_b] Xᵇ
-        bc = broadcast_value(spark, _dense(a))
+        bc = broadcast_value(spark, vl._dense(a))
         return sum_blocks(b, lambda x, lo: _lmm(bc.value[:, lo : lo + x.shape[0]], x))
     raise TypeError(f"unsupported distributed matmult {type(a)} @ {type(b)}")
 
@@ -158,4 +154,4 @@ def aggregate(spark, op: str, a: RowBlockMatrix):
 
 def rix(spark, a: RowBlockMatrix, c1: int, c2: int):
     # a contiguous copy, as a pickled block is, for a reader that pipelines it
-    return a.map_blocks(lambda x: np.ascontiguousarray(_dense(x)[:, c1:c2]), c2 - c1)
+    return a.map_blocks(lambda x: np.ascontiguousarray(vl._dense(x)[:, c1:c2]), c2 - c1)

@@ -125,3 +125,67 @@ def test_pattern_rejected_when_interior_has_external_consumer():
     assert not any(op.name == "mmchain" for op in hand.values())
     b = {"X": _rand(n, m, 22), "v": _rand(m, 1, 23)}
     _check([chain, other], b, [])
+
+
+def test_mmchain_weighted_by_a_scalar_runs_basic_ops():
+    # mmchain* slices its weights by rows; a scalar weight is no vector
+    n, m = 60, 5
+    X, v = H.var("X", n, m), H.var("v", m, 1)
+    expr = X.T @ (2.0 * (X @ v))
+    assert not plan_hand_fused([expr.hop])
+    _check([expr], {"X": _rand(n, m, 24), "v": _rand(m, 1, 25)}, [])
+
+
+def _pattern_cases():
+    n, m, r = 60, 40, 4
+    x = _sparse(n, m, 0.1, 26)
+    X, Y = H.var("X", n, m), H.var("Y", n, m)
+    Xs = H.var("X", n, m, 0.1)
+    v, w = H.var("v", m, 1), H.var("w", n, 1)
+    U, V = H.var("U", n, r), H.var("V", m, r)
+    binds = {
+        "X": CSR.from_dense(x), "Y": _rand(n, m, 27), "v": _rand(m, 1, 28),
+        "w": _rand(n, 1, 29), "U": _rand(n, r, 30) + 0.5, "V": _rand(m, r, 31) + 0.5,
+    }
+    return binds, {
+        "tak+*": H.sum_(X * Y),
+        "tak^2": H.sum_(X**2.0),
+        "mmchain": X.T @ (X @ v),
+        "mmchain*": X.T @ (w * (X @ v)),
+        "wdivmm": ((Xs != 0) * (U @ V.T)) @ V,
+        "wsloss": H.sum_(((Xs != 0) * (U @ V.T) - Xs) ** 2.0),
+        "wcemm": H.sum_(Xs * H.log(U @ V.T + 1e-15)),
+    }
+
+
+@pytest.mark.parametrize("name", ["tak+*", "tak^2", "mmchain", "mmchain*", "wdivmm", "wsloss", "wcemm"])
+def test_hand_op_pickles_as_its_root(name):
+    # a HandOp ships as its root hop and is matched again on unpickling
+    import pickle
+
+    from repro.core.executor import eval_hop
+    from repro.core.hop import postorder
+
+    binds, exprs = _pattern_cases()
+    root = exprs[name].hop
+    (op,) = plan_hand_fused([root]).values()
+    back = pickle.loads(pickle.dumps(op))
+    assert (back.name, back.interior, back.root.hid) == (name, op.interior, root.hid)
+    env = {}
+    for h in postorder([root]):
+        env[h.hid] = eval_hop(h, env, binds)
+    assert np.array_equal(back.fn(env), op.fn(env))
+
+
+def test_mmchain_binding_per_block():
+    # v is read whole; w is row-aligned with X. With w = v (square X) one
+    # input would be read both ways, so there is no per-block binding
+    n = 30
+    X, v, w = H.var("X", n, n), H.var("v", n, 1), H.var("w", n, 1)
+    (op,) = plan_hand_fused([(X.T @ (w * (X @ v))).hop]).values()
+    cp = op.cplan
+    assert (cp.main_hid, cp.side_hids, cp.meta["whole_sides"]) == (
+        X.hop.hid, [v.hop.hid, w.hop.hid], {v.hop.hid}
+    )
+    (op,) = plan_hand_fused([(X.T @ (v * (X @ v))).hop]).values()
+    assert op.name == "mmchain*" and op.cplan is None

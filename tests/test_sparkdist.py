@@ -585,3 +585,106 @@ def test_engine_local_sparse_transpose_feeds_distributed_ops(spark, mode):
     for g, r in zip(got, refs):
         g = g.to_numpy() if isinstance(g, RowBlockMatrix) else g
         np.testing.assert_allclose(np.asarray(g, dtype=float), np.asarray(r, dtype=float), atol=1e-12)
+
+
+# ------------------------------------- hand-coded operators, distributed
+def _fused_hand_dist(spark, monkeypatch, expr, binds, name):
+    """Run ``expr`` under Fused and assert that the hand-coded operator
+    ``name`` ran as one distributed pass: ``execute_dist`` got it, and
+    its root never ran as a basic operator."""
+    from repro.sparkdist import executor as dist_ex
+
+    basic, passes = [], []
+    orig_basic, orig_pass = dist_ex.eval_hop_hybrid, dist_ex.execute_dist
+
+    def eval_hop_hybrid(spark, h, env, bindings):
+        basic.append(h.hid)
+        return orig_basic(spark, h, env, bindings)
+
+    def execute_dist(spark, op, values):
+        passes.append(op.name)
+        return orig_pass(spark, op, values)
+
+    monkeypatch.setattr(dist_ex, "eval_hop_hybrid", eval_hop_hybrid)
+    monkeypatch.setattr(dist_ex, "execute_dist", execute_dist)
+    got = SparkEngine(spark, "fused")(expr, binds)
+    assert passes == [name]
+    assert expr.hop.hid not in basic
+    return got
+
+
+@pytest.mark.parametrize("y", [None, "dist", "local"])
+def test_engine_fused_runs_tak_distributed(spark, monkeypatch, y):
+    # sum(X^2), and sum(X*Y) with Y distributed or local and row-aligned
+    n, m = 70, 8
+    x, yv = _rand(n, m, 60), _rand(n, m, 61)
+    X, Y = H.var("X", n, m), H.var("Y", n, m)
+    expr = H.sum_(X**2.0) if y is None else H.sum_(X * Y)
+    binds = {"X": RowBlockMatrix.from_matrix(spark, x, block_rows=BS)}
+    if y is not None:
+        binds["Y"] = yv if y == "local" else RowBlockMatrix.from_matrix(spark, yv, block_rows=BS)
+    name = "tak^2" if y is None else "tak+*"
+    got = _fused_hand_dist(spark, monkeypatch, expr, binds, name)
+    (ref,) = execute_base([expr.hop], {"X": x, "Y": yv})
+    assert np.allclose(got, ref)
+
+
+@pytest.mark.parametrize("w", [None, "local", "dist"])
+def test_engine_fused_runs_mmchain_distributed(spark, monkeypatch, w):
+    # t(X)%*%(X%*%v) with a square X, whose v must not be row-sliced,
+    # and t(X)%*%(w*(X%*%v)) with w local or distributed
+    n, m = (40, 40) if w is None else (70, 8)
+    x, v, wv = _rand(n, m, 62), _rand(m, 1, 63), _rand(n, 1, 64)
+    X, V, W = H.var("X", n, m), H.var("v", m, 1), H.var("w", n, 1)
+    expr = X.T @ (X @ V) if w is None else X.T @ (W * (X @ V))
+    binds = {"X": RowBlockMatrix.from_matrix(spark, x, block_rows=BS), "v": v}
+    if w is not None:
+        binds["w"] = wv if w == "local" else RowBlockMatrix.from_matrix(spark, wv, block_rows=BS)
+    name = "mmchain" if w is None else "mmchain*"
+    got = _fused_hand_dist(spark, monkeypatch, expr, binds, name)
+    (ref,) = execute_base([expr.hop], {"X": x, "v": v, "w": wv})
+    assert np.allclose(got, ref)
+
+
+def test_glm_fused_ships_hand_ops_without_their_driver_fn(spark, monkeypatch):
+    # a profiler may wrap each HandOp.fn on the driver in a closure over
+    # objects that cannot be pickled; the distributed pass ships the
+    # operator without it and still runs GLM's mmchain* over the blocks
+    import threading
+
+    from repro.algorithms import glm
+    from repro.algorithms.engine import Engine
+    from repro.core import pipeline
+    from repro.data import mldata
+    from repro.sparkdist import executor as dist_ex
+
+    lock, orig_plan = threading.Lock(), pipeline.plan_hand_fused
+
+    def plan_hand_fused(roots):
+        chosen = orig_plan(roots)
+        for op in chosen.values():
+            def wrapped(env, fn=op.fn):
+                with lock:
+                    return fn(env)
+
+            op.fn = wrapped
+        return chosen
+
+    passes, orig_pass = [], dist_ex.execute_dist
+
+    def execute_dist(spark, op, values):
+        passes.append(op.name)
+        return orig_pass(spark, op, values)
+
+    monkeypatch.setattr(pipeline, "plan_hand_fused", plan_hand_fused)
+    monkeypatch.setattr(dist_ex, "execute_dist", execute_dist)
+    n, m = 140, 6
+    x = _rand(n, m, 65)
+    y01 = (mldata.binary_labels(x) > 0).astype(np.float64)
+    cfg = glm.GLMConfig(max_iter=2, max_inner=2)
+    ref = glm.run(Engine("base"), x, y01, cfg)["objs"]
+    rb = RowBlockMatrix.from_matrix(spark, x, block_rows=BS)
+    yb = RowBlockMatrix.from_matrix(spark, y01, block_rows=BS)
+    got = glm.run(SparkEngine(spark, "fused"), rb, yb, cfg)["objs"]
+    np.testing.assert_allclose(got, ref, rtol=1e-8)
+    assert "mmchain*" in passes
