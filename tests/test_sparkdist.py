@@ -588,28 +588,30 @@ def test_engine_local_sparse_transpose_feeds_distributed_ops(spark, mode):
 
 
 # ------------------------------------- hand-coded operators, distributed
+def _record_calls(monkeypatch, fn_name: str) -> list:
+    """The second argument (a hop or a fused operator) of every call to
+    ``repro.sparkdist.executor.<fn_name>``."""
+    from repro.sparkdist import executor as dist_ex
+
+    seen, orig = [], getattr(dist_ex, fn_name)
+
+    def recorded(*args):
+        seen.append(args[1])
+        return orig(*args)
+
+    monkeypatch.setattr(dist_ex, fn_name, recorded)
+    return seen
+
+
 def _fused_hand_dist(spark, monkeypatch, expr, binds, name):
     """Run ``expr`` under Fused and assert that the hand-coded operator
     ``name`` ran as one distributed pass: ``execute_dist`` got it, and
     its root never ran as a basic operator."""
-    from repro.sparkdist import executor as dist_ex
-
-    basic, passes = [], []
-    orig_basic, orig_pass = dist_ex.eval_hop_hybrid, dist_ex.execute_dist
-
-    def eval_hop_hybrid(spark, h, env, bindings):
-        basic.append(h.hid)
-        return orig_basic(spark, h, env, bindings)
-
-    def execute_dist(spark, op, values):
-        passes.append(op.name)
-        return orig_pass(spark, op, values)
-
-    monkeypatch.setattr(dist_ex, "eval_hop_hybrid", eval_hop_hybrid)
-    monkeypatch.setattr(dist_ex, "execute_dist", execute_dist)
+    basic = _record_calls(monkeypatch, "eval_hop_hybrid")
+    passes = _record_calls(monkeypatch, "execute_dist")
     got = SparkEngine(spark, "fused")(expr, binds)
-    assert passes == [name]
-    assert expr.hop.hid not in basic
+    assert [op.name for op in passes] == [name]
+    assert expr.hop.hid not in {h.hid for h in basic}
     return got
 
 
@@ -656,7 +658,6 @@ def test_glm_fused_ships_hand_ops_without_their_driver_fn(spark, monkeypatch):
     from repro.algorithms.engine import Engine
     from repro.core import pipeline
     from repro.data import mldata
-    from repro.sparkdist import executor as dist_ex
 
     lock, orig_plan = threading.Lock(), pipeline.plan_hand_fused
 
@@ -670,14 +671,8 @@ def test_glm_fused_ships_hand_ops_without_their_driver_fn(spark, monkeypatch):
             op.fn = wrapped
         return chosen
 
-    passes, orig_pass = [], dist_ex.execute_dist
-
-    def execute_dist(spark, op, values):
-        passes.append(op.name)
-        return orig_pass(spark, op, values)
-
     monkeypatch.setattr(pipeline, "plan_hand_fused", plan_hand_fused)
-    monkeypatch.setattr(dist_ex, "execute_dist", execute_dist)
+    passes = _record_calls(monkeypatch, "execute_dist")
     n, m = 140, 6
     x = _rand(n, m, 65)
     y01 = (mldata.binary_labels(x) > 0).astype(np.float64)
@@ -687,4 +682,4 @@ def test_glm_fused_ships_hand_ops_without_their_driver_fn(spark, monkeypatch):
     yb = RowBlockMatrix.from_matrix(spark, y01, block_rows=BS)
     got = glm.run(SparkEngine(spark, "fused"), rb, yb, cfg)["objs"]
     np.testing.assert_allclose(got, ref, rtol=1e-8)
-    assert "mmchain*" in passes
+    assert "mmchain*" in [op.name for op in passes]
