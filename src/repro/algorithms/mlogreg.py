@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import hop as H
-from repro.lina.sparse import CSR
 
 
 @dataclass

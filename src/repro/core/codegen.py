@@ -14,24 +14,19 @@ exactly once; its hit/miss/compile-time counters feed Table 3.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core import vectlib as vl
 from repro.core.cplan import CPlan
 from repro.core.hop import Hop
 
-_BIN_FN = {
-    "b(+)": "vl.add", "b(-)": "vl.sub", "b(*)": "vl.mul", "b(/)": "vl.div",
-    "b(^)": "vl.pow_", "b(min)": "vl.min_", "b(max)": "vl.max_",
-    "b(!=)": "vl.neq", "b(==)": "vl.eq", "b(>)": "vl.gt", "b(<)": "vl.lt",
-    "b(>=)": "vl.ge", "b(<=)": "vl.le",
-}
-_UN_FN = {
-    "u(exp)": "vl.exp", "u(log)": "vl.log", "u(sqrt)": "vl.sqrt",
-    "u(abs)": "vl.abs_", "u(sign)": "vl.sign", "u(-)": "vl.neg",
-    "u(sigmoid)": "vl.sigmoid",
-}
-_ROW_AGG_FN = {op: "vl." + fn.__name__ for op, fn in vl.AGG.items()}
+
+def _names(table: dict) -> dict[str, str]:
+    """op -> the name generated code calls its ``vectlib`` kernel by."""
+    return {op: "vl." + fn.__name__ for op, fn in table.items()}
+
+
+_BIN_FN, _UN_FN, _ROW_AGG_FN = _names(vl.BINARY), _names(vl.UNARY), _names(vl.AGG)
 
 
 def _name_map(cplan: CPlan) -> dict[int, str]:
@@ -105,12 +100,9 @@ def _render_common(cplan: CPlan, include_root_agg: bool) -> tuple[list[str], dic
 
 
 def _basic_expr(h: Hop, ref) -> str:
-    if h.op in _BIN_FN:
-        return f"{_BIN_FN[h.op]}({ref(h.inputs[0])}, {ref(h.inputs[1])})"
-    if h.op in _UN_FN:
-        return f"{_UN_FN[h.op]}({ref(h.inputs[0])})"
-    if h.op in _ROW_AGG_FN:
-        return f"{_ROW_AGG_FN[h.op]}({ref(h.inputs[0])})"
+    fn = _BIN_FN.get(h.op) or _UN_FN.get(h.op) or _ROW_AGG_FN.get(h.op)
+    if fn is not None:
+        return f"{fn}({', '.join(ref(i) for i in h.inputs)})"
     if h.op == "rix":
         return f"vl.rix({ref(h.inputs[0])}, {h.meta['c1']}, {h.meta['c2']})"
     raise ValueError(f"cannot generate code for {h.op}")

@@ -182,18 +182,22 @@ def _op_from_entry(
     return spec
 
 
-def _basic_op(h: Hop) -> OpSpec:
-    inputs = []
-    for i in h.inputs:
-        if i.op != "lit" and all(x.hid != i.hid for x in inputs):
-            inputs.append(i)
+def _step(root: Hop, covered: dict[int, Hop]) -> OpSpec:
+    """An operator that is not a generated one: a basic operator
+    (``covered`` is the root alone) or a hand-coded fused operator."""
+    inputs = {
+        i.hid: i
+        for h in covered.values()
+        for i in h.inputs
+        if i.op != "lit" and i.hid not in covered
+    }
     return OpSpec(
-        root=h,
+        root=root,
         template=None,
-        covered={h.hid: h},
+        covered=covered,
         entries={},
-        input_hids=[i.hid for i in inputs],
-        input_hops={i.hid: i for i in inputs},
+        input_hids=list(inputs),
+        input_hops=inputs,
     )
 
 
@@ -342,11 +346,8 @@ class GroupDecisions:
 
     def _decide(self, hid: int, cut: set[tuple[int, int]]) -> OpSpec | None:
         memo, cm = self.memo, self.cm
-        h = memo.hops.get(hid)
-        if h is None:
-            # not explored (no group and never touched): basic op over DAG
-            h = _find_hop(self.dag_roots, hid)
-        if h is None or h.op in ("leaf", "lit"):
+        h = memo.hops[hid]
+        if h.op in ("leaf", "lit"):
             return None
         cands: dict[str, MemoEntry] = {}
         if self.restrict_to is None or hid in self.restrict_to:
@@ -373,7 +374,7 @@ class GroupDecisions:
             if best_score is None or score < best_score:
                 best, best_score = spec, score
         if best is None:
-            best = _basic_op(h)
+            best = _step(h, {h.hid: h})
             best.est_cost = op_cost(best, cm, is_distributed(best, cm))
         return best
 
@@ -406,15 +407,6 @@ def decompose(
             if i not in done and spec.input_hops[i].op not in ("leaf", "lit"):
                 worklist.append(i)
     return specs
-
-
-def _find_hop(dag_roots: list[Hop], hid: int) -> Hop | None:
-    from repro.core.hop import postorder
-
-    for h in postorder(dag_roots):
-        if h.hid == hid:
-            return h
-    return None
 
 
 def combine_multi_aggregates(specs: list[OpSpec]) -> list[OpSpec]:

@@ -12,16 +12,9 @@ from dataclasses import dataclass, field
 
 from repro.core.cost import SPARSE_SAFE_CELL, OpSpec
 from repro.core.hop import Hop
-from repro.core.templates import CONFIG
+from repro.core.templates import CONFIG, ROW_AGGS
 
 FULL_AGG_FN = {"ua(+)": "sum", "ua(max)": "max", "ua(min)": "min"}
-ROW_AGG_FN = {
-    "ua(R+)": "row_sums",
-    "ua(Rmax)": "row_maxs",
-    "ua(Rmin)": "row_mins",
-    "ua(Rimin)": "row_imins",
-    "ua(Rimax)": "row_imaxs",
-}
 
 
 @dataclass
@@ -125,7 +118,7 @@ def build_cplan(spec: OpSpec) -> CPlan:
             variant, agg_fn = "col_agg", "sum"
         elif root.op in FULL_AGG_FN:
             variant, agg_fn = "full_agg", FULL_AGG_FN[root.op]
-        elif root.op in ROW_AGG_FN:
+        elif root.op in ROW_AGGS:
             variant = "row_agg"
         elif root.op == "t":
             meta["root_is_t"] = True  # chain computed row-wise, transposed at the end

@@ -16,7 +16,7 @@ sub-spaces via
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.cost import (
     CostModel,
@@ -36,7 +36,6 @@ class EnumStats:
     skipped: int = 0
     total_space: int = 0
     used_cut_set: bool = False
-    per_partition: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 def _bits(j: int, m: int) -> list[bool]:
@@ -57,35 +56,52 @@ def _enum_range(
     m: int,
     fixed: dict[int, bool],
     stats: EnumStats,
+    order: list[int] | None = None,
+    cut: CutSet | None = None,
 ) -> tuple[list[bool], float]:
-    """Scan the 2^(m-|fixed|) assignments over the free positions."""
-    free = [k for k in range(m) if k not in fixed]
+    """Scan the 2^(m-|fixed|) assignments over the free positions, taken
+    MSB-first in ``order``. Where a cut set's points (the leading free
+    positions) are all materialized and every other point is not, its
+    sub-problems S1 and S2 are solved by recursive scans, stitched
+    together and the rest of that subtree skipped (Alg. 2 lines 8-13)."""
+    free = [k for k in (order or range(m)) if k not in fixed]
+    n, ncs = len(free), len(cut.point_idx) if cut else 0
     best_q: list[bool] | None = None
     best_c = float("inf")
-    n = len(free)
     j = 0
     while j < (1 << n):
         qf = _bits(j, n)
         q = [False] * m
         for k, v in fixed.items():
             q[k] = v
-        for idx, k in enumerate(free):
-            q[k] = qf[idx]
-        lb = lb_fn(q)
-        if lb >= best_c:
+        for k, b in zip(free, qf):
+            q[k] = b
+        if cut is not None and j == ((1 << ncs) - 1) << (n - ncs):
+            on = {k: True for k in cut.point_idx}
+            s1 = {k: False for k in cut.s1_idx}
+            s2 = {k: False for k in cut.s2_idx}
+            q1, _ = _enum_range(cost_fn, lb_fn, m, {**on, **s2}, stats, order)
+            q2, _ = _enum_range(cost_fn, lb_fn, m, {**on, **s1}, stats, order)
+            for k in cut.s1_idx:
+                q[k] = q1[k]
+            for k in cut.s2_idx:
+                q[k] = q2[k]
+            skip = (1 << (n - ncs)) - 1
+        elif lb_fn(q) >= best_c:
+            # skip the subtree that shares the prefix up to the last True
             x = _last_true(qf)
-            if x >= 0 and all(not b for b in qf[x + 1 :]):
-                skip = (1 << (n - x - 1)) - 1
-            else:
-                skip = 0
+            skip = (1 << (n - x - 1)) - 1 if x >= 0 else 0
             stats.skipped += skip
             j += skip + 1
             continue
+        else:
+            skip = 0
         c = cost_fn(q)
         stats.evaluated += 1
         if c < best_c:
             best_c, best_q = c, q
-        j += 1
+        stats.skipped += skip
+        j += skip + 1
     assert best_q is not None
     return best_q, best_c
 
@@ -155,81 +171,23 @@ def mpskip_enum(
             return float("-inf")
         return c_static + materialization_cost(memo, points, q, cm)
 
-    cut_sets = find_cut_sets(memo, part) if use_structural else []
-    # remap cut sets to the kept-point index space
+    # structural pruning with the best-scoring cut set whose points were
+    # all kept, in the kept-point index space: scan [cs, S1, S2]
     pos = {orig: i for i, orig in enumerate(keep)}
-    usable = []
-    for c in cut_sets:
+    cs, order = None, None
+    for c in find_cut_sets(memo, part) if use_structural else []:
         if all(i in pos for i in c.point_idx + c.s1_idx + c.s2_idx):
-            usable.append(
-                CutSet(
-                    tuple(pos[i] for i in c.point_idx),
-                    tuple(pos[i] for i in c.s1_idx),
-                    tuple(pos[i] for i in c.s2_idx),
-                    c.score,
-                )
+            cs = CutSet(
+                tuple(pos[i] for i in c.point_idx),
+                tuple(pos[i] for i in c.s1_idx),
+                tuple(pos[i] for i in c.s2_idx),
+                c.score,
             )
-    cut_sets = usable
-    if not cut_sets:
-        best_q, _ = _enum_range(cost_fn, lb_fn, m, {}, stats)
-        return expand(best_q)
-
-    # structural pruning with the best-scoring cut set: layout [cs, S1, S2]
-    cs = cut_sets[0]
-    stats.used_cut_set = True
-    order = list(cs.point_idx) + list(cs.s1_idx) + list(cs.s2_idx)
-    inv = {orig: pos for pos, orig in enumerate(order)}
-    ncs, n1, n2 = len(cs.point_idx), len(cs.s1_idx), len(cs.s2_idx)
-
-    def cost_perm(qp: list[bool]) -> float:
-        return cost_fn([qp[inv[k]] for k in range(m)])
-
-    def lb_perm(qp: list[bool]) -> float:
-        return lb_fn([qp[inv[k]] for k in range(m)])
-
-    best_q: list[bool] | None = None
-    best_c = float("inf")
-    j = 0
-    total = 1 << m
-    while j < total:
-        qp = _bits(j, m)
-        if all(qp[:ncs]) and not any(qp[ncs:]):
-            # cut set fully materialized: solve S1 and S2 independently
-            fixed = {k: True for k in range(ncs)}
-            fixed2 = {**fixed, **{ncs + k: False for k in range(n1)}}
-            s1_fixed = {**fixed, **{ncs + n1 + k: False for k in range(n2)}}
-            q1, _ = _enum_range(cost_perm, lb_perm, m, s1_fixed, stats)
-            q2, _ = _enum_range(cost_perm, lb_perm, m, fixed2, stats)
-            qc = (
-                [True] * ncs
-                + q1[ncs : ncs + n1]
-                + q2[ncs + n1 :]
-            )
-            c = cost_perm(qc)
-            stats.evaluated += 1
-            if c < best_c:
-                best_c, best_q = c, qc
-            skipped = (1 << (n1 + n2)) - 1
-            stats.skipped += skipped
-            j += skipped + 1
-            continue
-        lb = lb_perm(qp)
-        if lb >= best_c:
-            x = _last_true(qp)
-            if x >= 0 and all(not b for b in qp[x + 1 :]):
-                skip = (1 << (m - x - 1)) - 1
-            else:
-                skip = 0
-            stats.skipped += skip
-            j += skip + 1
-            continue
-        c = cost_perm(qp)
-        stats.evaluated += 1
-        if c < best_c:
-            best_c, best_q = c, qp
-        j += 1
-    assert best_q is not None
-    return expand([best_q[inv[k]] for k in range(m)])
+            order = [*cs.point_idx, *cs.s1_idx, *cs.s2_idx]
+            stats.used_cut_set = True
+            break
+    best_q, _ = _enum_range(cost_fn, lb_fn, m, {}, stats, order, cs)
+    return expand(best_q)
 
 
 def brute_force(

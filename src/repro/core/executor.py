@@ -10,9 +10,12 @@ Values flowing through the interpreter are:
   * :class:`repro.lina.sparse.CSR`            — sparse matrices,
   * :class:`repro.lina.compressed.CLAMatrix`  — compressed matrices.
 
-Sparse inputs stay sparse through sparse-safe chains (multiply, power,
-!=0, sparse-safe unaries, aggregations, matmult) and are densified
-otherwise — mirroring SystemML's dense/sparse dispatch in basic ops.
+Cell-wise and aggregate operators call their kernels from ``vectlib``'s
+tables (``BINARY``, ``UNARY``, ``AGG``), which generated operators and
+Spark's row blocks call too. Sparse inputs stay sparse through
+sparse-safe chains (multiply, power, !=0, sparse-safe unaries,
+aggregations, matmult) and are densified otherwise — mirroring
+SystemML's dense/sparse dispatch in basic ops.
 """
 from __future__ import annotations
 
@@ -27,67 +30,25 @@ Value = float | np.ndarray | CSR | CLAMatrix
 
 
 def _as2d(v: Value) -> np.ndarray:
-    if isinstance(v, CSR):
-        return v.to_dense()
-    if isinstance(v, CLAMatrix):
-        return v.decompress()
+    v = vl._dense(v)
     if isinstance(v, np.ndarray):
         return v if v.ndim == 2 else v.reshape(v.shape[0], -1)
     return np.array([[float(v)]])
 
 
-_UNARY_FN = {
-    "u(exp)": np.exp,
-    "u(log)": np.log,
-    "u(sqrt)": np.sqrt,
-    "u(abs)": np.abs,
-    "u(sign)": np.sign,
-    "u(-)": np.negative,
-    "u(sigmoid)": lambda x: 1.0 / (1.0 + np.exp(-x)),
-}
+def _operand(v: Value) -> Value:
+    """A cell-wise operand: CSR and scalars as they are (the kernels keep
+    sparse-safe results sparse), anything else as a 2-D array."""
+    return v if isinstance(v, (CSR, float, int)) else _as2d(v)
 
-_BINARY_FN = {
-    "b(+)": np.add,
-    "b(-)": np.subtract,
-    "b(*)": np.multiply,
-    "b(/)": np.divide,
-    "b(^)": vl.power,
-    "b(min)": np.minimum,
-    "b(max)": np.maximum,
-    "b(!=)": lambda a, b: (a != b).astype(np.float64),
-    "b(==)": lambda a, b: (a == b).astype(np.float64),
-    "b(>)": lambda a, b: (a > b).astype(np.float64),
-    "b(<)": lambda a, b: (a < b).astype(np.float64),
-    "b(>=)": lambda a, b: (a >= b).astype(np.float64),
-    "b(<=)": lambda a, b: (a <= b).astype(np.float64),
-}
 
-_SPARSE_SAFE_UNARY = {"u(sqrt)", "u(abs)", "u(sign)", "u(-)"}
+def _cellwise(fn, *ins: Value) -> Value:
+    out = fn(*map(_operand, ins))
+    return float(out) if isinstance(out, (float, np.generic)) else out
 
 
 def _eval_binary(op: str, a: Value, b: Value) -> Value:
-    # sparse fast paths that keep CSR sparse (sparse-safe in left operand)
-    if isinstance(a, CSR):
-        if op == "b(*)":
-            if isinstance(b, (float, int)):
-                return a.scale_values(lambda v: v * float(b))
-            bd = _as2d(b)
-            if bd.shape == a.shape:
-                return a.mult_dense(bd)
-            if bd.shape == (1, 1):
-                return a.scale_values(lambda v: v * float(bd[0, 0]))
-        if op == "b(^)" and isinstance(b, (float, int)):
-            return vl.pow_(a, float(b))
-        if op == "b(!=)" and isinstance(b, (float, int)) and float(b) == 0.0:
-            return a.scale_values(lambda v: (v != 0).astype(np.float64))
-        a = a.to_dense()
-    if isinstance(b, CSR):
-        if op == "b(*)":
-            return _eval_binary("b(*)", b, a)  # commutative; reuse sparse path
-        b = b.to_dense()
-    if isinstance(a, (float, int)) and isinstance(b, (float, int)):
-        return float(_BINARY_FN[op](a, b))
-    return _BINARY_FN[op](_as2d(a), _as2d(b))
+    return _cellwise(vl.BINARY[op], a, b)
 
 
 def _eval_agg(op: str, x: Value) -> Value:
@@ -134,15 +95,10 @@ def eval_hop(h: Hop, env: dict[int, Value], bindings: dict[str, Value]) -> Value
         return _as2d(x)[:, c1:c2]
     if h.op == "ba(+*)":
         return _eval_mm(ins[0], ins[1])
-    if h.op in _BINARY_FN:
+    if h.op in vl.BINARY:
         return _eval_binary(h.op, ins[0], ins[1])
-    if h.op in _UNARY_FN:
-        (x,) = ins
-        if isinstance(x, CSR) and h.op in _SPARSE_SAFE_UNARY:
-            return x.scale_values(_UNARY_FN[h.op])
-        if isinstance(x, (float, int)):
-            return float(_UNARY_FN[h.op](x))
-        return _UNARY_FN[h.op](_as2d(x))
+    if h.op in vl.UNARY:
+        return _cellwise(vl.UNARY[h.op], ins[0])
     if h.op.startswith("ua("):
         return _eval_agg(h.op, ins[0])
     raise ValueError(f"unknown op {h.op}")

@@ -18,18 +18,11 @@ from repro.core import vectlib
 from repro.core.cplan import CPlan
 from repro.core.executor import Value
 from repro.core.hop import Hop, consumers, postorder
+from repro.core.vectlib import _dense
 from repro.lina.compressed import CLAMatrix
 from repro.lina.sparse import CSR
 
 _BLOCK = 32768  # rows per block in blocked kernels
-
-
-def _dense(x):
-    if isinstance(x, CSR):
-        return x.to_dense()
-    if isinstance(x, CLAMatrix):
-        return x.decompress()
-    return x
 
 
 @dataclass

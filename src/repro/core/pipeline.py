@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.core import executor as ex
 from repro.core.codegen import PlanCache
-from repro.core.cost import CostModel, OpSpec
+from repro.core.cost import CostModel, OpSpec, _step
 from repro.core.cplan import build_cplan
 from repro.core.explore import explore
 from repro.core.fused_lib import HandOp, plan_hand_fused
@@ -97,25 +97,6 @@ def compile_dag(
     ctx.stats.plans_skipped += sel.enum_stats.skipped
     ctx.stats.search_space += sel.enum_stats.total_space
     return CompiledPlan(roots=roots, specs=final_specs, spoofs=spoofs, selection=sel)
-
-
-def _step(root: Hop, covered: dict[int, Hop]) -> OpSpec:
-    """An operator that is not a generated one: a basic operator
-    (``covered`` is the root alone) or a hand-coded fused operator."""
-    inputs = {
-        i.hid: i
-        for h in covered.values()
-        for i in h.inputs
-        if i.op != "lit" and i.hid not in covered
-    }
-    return OpSpec(
-        root=root,
-        template=None,
-        covered=covered,
-        entries={},
-        input_hids=list(inputs),
-        input_hops=inputs,
-    )
 
 
 def plan_basic(roots: list[Hop]) -> CompiledPlan:

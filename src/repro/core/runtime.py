@@ -30,8 +30,6 @@ from repro.lina.sparse import CSR, scatter_add
 
 BLOCK_BYTES = 2 << 20  # ~2 MB dense row blocks (L2-resident working set)
 
-_AGG_COMBINE = {"sum": np.add, "max": np.maximum, "min": np.minimum}
-
 
 def _rows_per_block(ncols: int) -> int:
     return max(1, BLOCK_BYTES // (8 * max(1, ncols)))
@@ -41,14 +39,6 @@ def _as_value(x):
     """Normalize scalars: 1x1 arrays -> float."""
     if isinstance(x, np.ndarray) and x.size == 1:
         return float(x.reshape(-1)[0])
-    return x
-
-
-def _to_dense(x):
-    if isinstance(x, CSR):
-        return x.to_dense()
-    if isinstance(x, CLAMatrix):
-        return x.decompress()
     return x
 
 
@@ -183,8 +173,9 @@ def _exec_cellwise(op: SpoofOp, vals: dict):
         results = res if n_out > 1 else (res,)
         for k, w in enumerate(results):
             if cp.variant == "full_agg":
-                v = {"sum": np.sum, "max": np.max, "min": np.min}[agg_fns[k] or "sum"](w)
-                accs[k] = v if accs[k] is None else _AGG_COMBINE[agg_fns[k] or "sum"](accs[k], v)
+                fn = vectlib.COMBINE[agg_fns[k] or "sum"]
+                v = fn.reduce(w, axis=None)
+                accs[k] = v if accs[k] is None else fn(accs[k], v)
             elif cp.variant == "row_agg":
                 parts[k].append(vectlib.row_sums(w))
             elif cp.variant == "col_agg":
@@ -207,9 +198,9 @@ def _exec_rowwise(op: SpoofOp, vals: dict):
     sides = [vals[h] for h in cp.side_hids]
     whole = cp.meta.get("whole", False) or cp.main_hid < 0
     if whole:
-        b = [_to_dense(s) if isinstance(s, (CSR, CLAMatrix)) else s for s in sides]
+        b = [vectlib._dense(s) for s in sides]
         a = vals[cp.main_hid] if cp.main_hid >= 0 else None
-        out = op.fn(_to_dense(a) if not isinstance(a, CSR) else a, b)
+        out = op.fn(vectlib._dense(a) if not isinstance(a, CSR) else a, b)
         return _finalize_row(cp, out)
     main = vals[cp.main_hid]
     if isinstance(main, CLAMatrix):
@@ -233,7 +224,7 @@ def _exec_rowwise(op: SpoofOp, vals: dict):
         if cp.variant in ("col_agg", "col_agg_t"):
             acc = w if acc is None else acc + w
         elif cp.variant == "full_agg":
-            fn = _AGG_COMBINE[cp.agg_fn or "sum"]
+            fn = vectlib.COMBINE[cp.agg_fn or "sum"]
             acc = w if acc is None else fn(acc, w)
         else:
             parts.append(np.asarray(w))
@@ -257,18 +248,18 @@ def _exec_outer(op: SpoofOp, vals: dict):
     cp = op.cplan
     main = vals[cp.main_hid]
     if not isinstance(main, CSR):
-        main = CSR.from_dense(_to_dense(main))
+        main = CSR.from_dense(vectlib._dense(main))
     n, m = main.shape
     rixv, cixv = main.row_index(), main.indices
-    u = _to_dense(vals[cp.meta["u_hid"]])
-    vt = _to_dense(vals[cp.meta["vt_hid"]])
+    u = vectlib._dense(vals[cp.meta["u_hid"]])
+    vt = vectlib._dense(vals[cp.meta["vt_hid"]])
     vmat = np.ascontiguousarray(vt.T)  # rows of V
     special = {cp.meta["u_hid"], cp.meta["vt_hid"], cp.meta.get("right_hid")}
     gather_hids = [h for h in cp.side_hids if h not in special]
     b = [_gather_side(_as_value(vals[h]), rixv, cixv, n, m) for h in gather_hids]
     w = op.fn(main.values, u[rixv], vmat[cixv], b)
     if cp.variant == "right_mm":
-        rmat = _to_dense(vals[cp.meta["right_hid"]])
+        rmat = vectlib._dense(vals[cp.meta["right_hid"]])
         return vectlib.outer_right_acc(np.asarray(w), rixv, rmat, n, rmat.shape[1], cixv)
     if cp.variant == "full_agg":
         return float(np.sum(w))

@@ -1,4 +1,4 @@
-"""Shared vector-primitive library used by generated fused operators.
+"""The one library of vector primitives and the op-to-kernel tables.
 
 Mirrors the paper's library of vector primitives (dotProduct,
 vectMultAdd, vectMatMult, ...): generated code calls these named
@@ -6,40 +6,56 @@ primitives instead of inlining their bodies, which keeps generated
 sources tiny (the §5.2 'instruction footprint' design point) and gives
 one code path for dense and sparse row blocks — each primitive
 dispatches on :class:`CSR` vs ``ndarray``, the closest Python analogue
-of the paper's genexecDense/genexecSparse pair. The aggregate kernels
-(``AGG``) also serve Base's basic operators and Spark's row blocks.
+of the paper's genexecDense/genexecSparse pair. ``BINARY``, ``UNARY``
+and ``AGG`` map each cell-wise and aggregate op to its kernel, and
+``COMBINE`` maps an aggregate function to the combine of its partials;
+Base's basic operators (``executor``), generated operators (``codegen``
+emits calls by the kernels' names), the skeletons and Spark's row
+blocks all read these tables, so each op's dense/sparse semantics is
+written once.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from repro.lina.compressed import CLAMatrix
 from repro.lina.sparse import CSR, scatter_mm
 
 
 def _dense(x):
-    return x.to_dense() if isinstance(x, CSR) else x
+    """A CSR or CLA operand as a dense array; anything else as is."""
+    if isinstance(x, CSR):
+        return x.to_dense()
+    if isinstance(x, CLAMatrix):
+        return x.decompress()
+    return x
 
 
 # ----------------------------------------------------------- element-wise
 def add(x, y): return np.add(_dense(x), _dense(y))
 def sub(x, y): return np.subtract(_dense(x), _dense(y))
 def mul(x, y):
-    if isinstance(x, CSR) and not isinstance(y, CSR):
-        y = np.asarray(y)
-        if y.shape == x.shape:
-            return x.mult_dense(y)
-        if y.ndim == 0 or y.size == 1:
-            return x.scale_values(lambda v: v * float(np.ravel(y)[0]))
+    """``x * y``; a CSR operand stays sparse when the other one is a
+    scalar, a 1×1 or of its shape (a CSR too)."""
     if isinstance(y, CSR) and not isinstance(x, CSR):
-        return mul(y, x)
+        x, y = y, x
+    if isinstance(x, CSR):
+        d = np.asarray(_dense(y))
+        if d.shape == x.shape:
+            return x.mult_dense(d)
+        if d.size == 1:
+            return x.scale_values(lambda v: v * float(np.ravel(d)[0]))
     return np.multiply(_dense(x), _dense(y))
 def div(x, y): return np.divide(_dense(x), _dense(y))
 def power(x, y):
-    """Dense ``x ** y``. An exponent of 2 (a scalar, or a size-1 array of
-    no higher rank than ``x``) is strength-reduced to ``x * x``, which
-    equals ``np.power`` up to the last ULP and is ~30x faster."""
-    if np.size(y) == 1 and np.ndim(y) <= np.ndim(x) and float(np.ravel(y)[0]) == 2.0:
-        return np.multiply(x, x)
+    """Dense ``x ** y``. An exponent of 2 (a scalar or a size-1 array) is
+    strength-reduced to ``x * x``, which equals ``np.power`` up to the
+    last ULP and is ~30x faster; the result keeps the broadcast shape."""
+    if np.size(y) == 1 and float(np.ravel(y)[0]) == 2.0:
+        sq = np.multiply(x, x)
+        if np.ndim(y) <= np.ndim(x):
+            return sq
+        return np.reshape(sq, np.broadcast_shapes(np.shape(x), np.shape(y)))
     return np.power(x, y)
 def pow_(x, y):
     if isinstance(x, CSR) and np.isscalar(y):
@@ -69,6 +85,19 @@ def sign(x):
 def neg(x):
     return x.scale_values(np.negative) if isinstance(x, CSR) else np.negative(x)
 def sigmoid(x): return 1.0 / (1.0 + np.exp(-_dense(x)))
+
+# One kernel per cell-wise op, shared by Base (``executor``), generated
+# operators (``codegen`` emits calls to them by name) and Spark's row
+# blocks (``sparkdist.ops``).
+BINARY = {
+    "b(+)": add, "b(-)": sub, "b(*)": mul, "b(/)": div, "b(^)": pow_,
+    "b(min)": min_, "b(max)": max_, "b(!=)": neq, "b(==)": eq, "b(>)": gt,
+    "b(<)": lt, "b(>=)": ge, "b(<=)": le,
+}
+UNARY = {
+    "u(exp)": exp, "u(log)": log, "u(sqrt)": sqrt, "u(abs)": abs_,
+    "u(sign)": sign, "u(-)": neg, "u(sigmoid)": sigmoid,
+}
 
 # ------------------------------------------------------- row-block algebra
 def mm(x, y):
@@ -130,14 +159,15 @@ def sum_all(x):
 def max_all(x): return float(np.max(_dense(x)))
 def min_all(x): return float(np.min(_dense(x)))
 
-# One kernel per aggregate op, shared by Base (``executor``), generated
-# operators (``codegen`` emits calls to them by name) and Spark's row
-# blocks (``sparkdist.ops``).
+# One kernel per aggregate op, shared as ``BINARY`` and ``UNARY`` are,
+# and how the partials of a sum, max or min aggregate combine (the
+# skeletons' row blocks, Spark's blocks and partitions).
 AGG = {
     "ua(+)": sum_all, "ua(max)": max_all, "ua(min)": min_all,
     "ua(R+)": row_sums, "ua(C+)": col_sums, "ua(Rmax)": row_maxs,
     "ua(Rmin)": row_mins, "ua(Rimin)": row_imins, "ua(Rimax)": row_imaxs,
 }
+COMBINE = {"sum": np.add, "max": np.maximum, "min": np.minimum}
 
 
 def rix(x, c1, c2):

@@ -10,7 +10,6 @@ Modes map to the paper's systems: Base, Fused, Gen, Gen-FA, Gen-FNR.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 

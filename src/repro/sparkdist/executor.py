@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.algorithms.engine import Engine
 from repro.core import executor as local_ex
+from repro.core import vectlib as vl
 from repro.core.cost import CostModel, OpSpec
 from repro.core.hop import Hop, consumers
 from repro.core.pipeline import CodegenContext, CompiledPlan, execute_plan, run_local
@@ -48,9 +49,9 @@ def eval_hop_hybrid(spark, h: Hop, env: dict, bindings: dict):
         return TransposedRBM(v) if isinstance(v, RowBlockMatrix) else v.base
     if h.op == "ba(+*)":
         return ops.matmult(spark, ins[0], ins[1])
-    if h.op in local_ex._BINARY_FN:
+    if h.op in vl.BINARY:
         return ops.elementwise(spark, h.op, ins[0], ins[1])
-    if h.op in local_ex._UNARY_FN:
+    if h.op in vl.UNARY:
         return ops.unary(spark, h.op, ins[0])
     if h.op.startswith("ua("):
         return ops.aggregate(spark, h.op, ins[0])

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import vectlib as vl
 from repro.lina.sparse import CSR
 from repro.sparkdist.blocked import RowBlockMatrix, join_blocks, map_rows, reduce_rows
 from repro.sparkdist.ops import broadcast_value
-
-_COMBINE = {"sum": np.add, "max": np.maximum, "min": np.minimum}
 
 
 def _is_row_aligned(v, n: int, hid: int, whole_sides) -> bool:
@@ -97,8 +96,8 @@ def execute_dist(spark, op, values: dict[int, object]):
 
     def combine(a, b):
         if n_out > 1:
-            return tuple(_COMBINE[f](x, y) for f, x, y in zip(fns, a, b))
-        return _COMBINE[fns[0]](a, b)
+            return tuple(vl.COMBINE[f](x, y) for f, x, y in zip(fns, a, b))
+        return vl.COMBINE[fns[0]](a, b)
 
     if dist_hids:
         acc = reduce_rows(df, block_exec, combine, names)

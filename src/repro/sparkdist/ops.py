@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import vectlib as vl
-from repro.core.executor import _BINARY_FN, _UNARY_FN
+from repro.core.cplan import FULL_AGG_FN
 from repro.lina.sparse import CSR
 from repro.sparkdist.blocked import RowBlockMatrix, zip_blocks, zip_reduce
 
@@ -71,7 +71,7 @@ def is_dist(v) -> bool:
 # ---------------------------------------------------------------- operators
 def elementwise(spark, op: str, a, b):
     """Binary cell-wise op with at least one distributed operand."""
-    fn = _BINARY_FN[op]
+    fn = vl.BINARY[op]
     if isinstance(a, RowBlockMatrix) and isinstance(b, RowBlockMatrix):
         return zip_blocks(a, [b], lambda x, y: fn(vl._dense(x), vl._dense(y)))
     if isinstance(a, RowBlockMatrix):
@@ -98,7 +98,7 @@ def _with_local(spark, X: RowBlockMatrix, v, fn):
 
 
 def unary(spark, op: str, a: RowBlockMatrix):
-    fn = _UNARY_FN[op]
+    fn = vl.UNARY[op]
     return a.map_blocks(lambda x: fn(vl._dense(x)))
 
 
@@ -136,19 +136,15 @@ def sum_blocks(X: RowBlockMatrix, part):
     return X.reduce_bid(lambda bid, x: part(x, bid * bs), np.add)
 
 
-# how block partials of a full or column aggregate combine
-_COMBINE = {"ua(+)": np.add, "ua(max)": np.maximum, "ua(min)": np.minimum, "ua(C+)": np.add}
-
-
 def aggregate(spark, op: str, a: RowBlockMatrix):
     """Aggregate per row block with the local kernels of ``vectlib.AGG``:
     full and column aggregates combine the block partials, a row
     aggregate is a new n×1 distributed matrix."""
     kernel = vl.AGG[op]
     if op == "ua(C+)":
-        return a.reduce_blocks(kernel, _COMBINE[op])
-    if op in _COMBINE:
-        return float(a.reduce_blocks(kernel, _COMBINE[op]))
+        return a.reduce_blocks(kernel, vl.COMBINE["sum"])
+    if op in FULL_AGG_FN:
+        return float(a.reduce_blocks(kernel, vl.COMBINE[FULL_AGG_FN[op]]))
     return a.map_blocks(kernel, ncols_out=1)
 
 
