@@ -76,6 +76,7 @@ def _enum_range(
             q[k] = v
         for k, b in zip(free, qf):
             q[k] = b
+        skip = 0
         if cut is not None and j == ((1 << ncs) - 1) << (n - ncs):
             on = {k: True for k in cut.point_idx}
             s1 = {k: False for k in cut.s1_idx}
@@ -94,8 +95,6 @@ def _enum_range(
             stats.skipped += skip
             j += skip + 1
             continue
-        else:
-            skip = 0
         c = cost_fn(q)
         stats.evaluated += 1
         if c < best_c:
