@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.hop import Hop, consumers
+from repro.core.hop import Hop, consumers, safe_in, sparse_safe_chain
 from repro.core.memo import CLOSED_VALID, MemoEntry, MemoTable
 from repro.core.partitions import Partition
-from repro.core.templates import CONFIG, MERGE_COMPATIBLE
+from repro.core.templates import CONFIG, MERGE_COMPATIBLE, sparse_drivers
 
-# sparse-safe cell operations (w.r.t. a sparse main input)
-SPARSE_SAFE_CELL = {"b(*)", "b(^)", "b(!=)", "u(sqrt)", "u(abs)", "u(sign)", "u(-)"}
 _FLOP_WEIGHT = {"u(exp)": 32, "u(log)": 32, "u(sigmoid)": 40, "b(^)": 16, "u(sqrt)": 8}
 
 
@@ -84,12 +82,8 @@ def flops(h: Hop) -> float:
         return flops_dense(h) * h.inputs[0].sparsity
     if h.op.startswith("ua("):
         return flops_dense(h) * h.inputs[0].sparsity
-    if h.op in SPARSE_SAFE_CELL:
-        sp = min(
-            (i.sparsity for i in h.inputs if i.is_matrix), default=1.0
-        )
-        return flops_dense(h) * sp
-    return flops_dense(h)
+    sp = min((i.sparsity for i in h.inputs if i.is_matrix and safe_in(h, i)), default=1.0)
+    return flops_dense(h) * sp
 
 
 # ----------------------------------------------------------- decomposition
@@ -140,27 +134,12 @@ def _expand(
             inputs.append(inp)
 
 
-def _sparse_scale(template: str, covered: dict[int, Hop], inputs: list[Hop]) -> float:
+def _sparse_scale(template: str, covered: dict[int, Hop]) -> float:
     """Sparsity-exploitation factor for a fused operator: the sparsity of
     the sparse driver, when the covered chain is sparse-safe over it."""
-    cand = [
-        i.sparsity
-        for h in covered.values()
-        if h.op in ("b(*)", "b(!=)")
-        for i in h.inputs
-        if i.is_matrix and i.sparsity <= CONFIG.sparse_threshold
-    ]
-    if not cand:
-        return 1.0
-    if template == "O":
-        return min(cand)
-    if template in ("C", "M"):
-        # whole chain must be sparse-safe for the skeleton to iterate nnz only
-        ok = all(
-            h.op in SPARSE_SAFE_CELL or h.op in ("ua(+)",) for h in covered.values()
-        )
-        return min(cand) if ok else 1.0
-    return 1.0
+    cand = [i.sparsity for h in covered.values() for i in sparse_drivers(h)]
+    safe = template == "O" or template in ("C", "M") and sparse_safe_chain(covered.values())
+    return min(cand) if cand and safe else 1.0
 
 
 def _op_from_entry(
@@ -178,7 +157,7 @@ def _op_from_entry(
         input_hids=[i.hid for i in inputs],
         input_hops={i.hid: i for i in inputs},
     )
-    spec.sparse_scale = _sparse_scale(entry.type, covered, inputs)
+    spec.sparse_scale = _sparse_scale(entry.type, covered)
     return spec
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.cost import SPARSE_SAFE_CELL, OpSpec
-from repro.core.hop import Hop
-from repro.core.templates import CONFIG, ROW_AGGS
+from repro.core.cost import OpSpec
+from repro.core.hop import Hop, sparse_safe_chain
+from repro.core.templates import CONFIG, ROW_AGGS, sparse_drivers
 
 FULL_AGG_FN = {"ua(+)": "sum", "ua(max)": "max", "ua(min)": "min"}
 
@@ -55,19 +55,6 @@ def _topo_covered(spec: OpSpec) -> list[Hop]:
     return order
 
 
-def _sparse_safe_chain(spec: OpSpec, skip_roots: bool) -> bool:
-    """True when every covered non-aggregate op is sparse-safe, so the
-    skeleton may iterate non-zero values only."""
-    for h in spec.covered.values():
-        if h.op.startswith("ua("):
-            if h.op != "ua(+)":
-                return False
-            continue
-        if h.op not in SPARSE_SAFE_CELL:
-            return False
-    return True
-
-
 def _opening_outer_mm(spec: OpSpec) -> Hop | None:
     for h in spec.covered.values():
         if h.op != "ba(+*)":
@@ -93,6 +80,7 @@ def build_cplan(spec: OpSpec) -> CPlan:
     variant, agg_fn = "no_agg", None
     main_hid = -1
     meta: dict = {}
+    safe_chain = sparse_safe_chain(spec.covered.values())
 
     if t in ("C", "M"):
         if root.op in FULL_AGG_FN:
@@ -104,7 +92,7 @@ def build_cplan(spec: OpSpec) -> CPlan:
         # main: sparse driver if present, else largest matrix input
         mats = [h for h in spec.input_hops.values() if h.is_matrix or h.is_vector]
         sparse = [h for h in mats if h.sparsity <= CONFIG.sparse_threshold and h.is_matrix]
-        if sparse and _sparse_safe_chain(spec, True):
+        if sparse and safe_chain:
             main_hid = min(sparse, key=lambda h: h.sparsity).hid
         elif mats:
             main_hid = max(mats, key=lambda h: h.memory_bytes()).hid
@@ -197,14 +185,8 @@ def build_cplan(spec: OpSpec) -> CPlan:
         meta["u_hid"] = mm.inputs[0].hid
         meta["vt_hid"] = mm.inputs[1].hid  # holds Vᵀ (r×m); runtime transposes
         # sparse driver = sparsest matrix input of covered multiply ops
-        drivers = [
-            i
-            for h in spec.covered.values()
-            if h.op in ("b(*)", "b(!=)")
-            for i in h.inputs
-            if i.is_matrix and i.sparsity <= CONFIG.sparse_threshold
-            and i.hid in spec.input_hops
-        ]
+        drivers = [i for h in spec.covered.values() for i in sparse_drivers(h)
+                   if i.hid in spec.input_hops]
         if not drivers:
             raise ValueError("Outer CPlan without sparse driver input")
         main_hid = min(drivers, key=lambda h: h.sparsity).hid
@@ -231,7 +213,7 @@ def build_cplan(spec: OpSpec) -> CPlan:
     side_hids = [h for h in spec.input_hids if h != main_hid]
     sparse_safe = (
         t in ("C", "M")
-        and _sparse_safe_chain(spec, True)
+        and safe_chain
         and variant in ("full_agg", "no_agg", "row_agg")
         and agg_fn in (None, "sum")
     ) or t == "O"

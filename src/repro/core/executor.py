@@ -13,7 +13,7 @@ Values flowing through the interpreter are:
 Cell-wise and aggregate operators call their kernels from ``vectlib``'s
 tables (``BINARY``, ``UNARY``, ``AGG``), which generated operators and
 Spark's row blocks call too. Sparse inputs stay sparse through
-sparse-safe chains (multiply, power, !=0, sparse-safe unaries,
+sparse-safe chains (multiply, power by s > 0, !=0, sparse-safe unaries,
 aggregations, matmult) and are densified otherwise — mirroring
 SystemML's dense/sparse dispatch in basic ops.
 """

@@ -11,11 +11,7 @@ import itertools
 
 from repro.core.hop import Hop, consumers
 from repro.core.memo import CLOSED_INVALID, CLOSED_VALID, MemoEntry, MemoTable
-from repro.core.templates import (
-    CONFIG,
-    MERGE_COMPATIBLE,
-    TEMPLATES,
-)
+from repro.core.templates import MERGE_COMPATIBLE, TEMPLATES, sparse_drivers
 
 
 def _has_open_compatible(memo: MemoTable, hid: int, ttype: str) -> bool:
@@ -60,9 +56,7 @@ def _covers_sparse_driver(memo: MemoTable, hid: int, seen: set[int]) -> bool:
     h = memo.hops.get(hid)
     if h is None:
         return False
-    if h.op in ("b(*)", "b(!=)") and any(
-        i.sparsity <= CONFIG.sparse_threshold and i.is_matrix for i in h.inputs
-    ):
+    if sparse_drivers(h):
         return True
     for e in memo.entries(hid):
         if e.type not in ("O", "C"):

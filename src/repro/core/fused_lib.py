@@ -85,9 +85,7 @@ def _k_ta_mult_sum(x: Hop, y: Hop):
         a, b = _dense(a), _dense(b)
         total = 0.0
         for lo in range(0, a.shape[0], _BLOCK):
-            ab = a[lo : lo + _BLOCK]
-            bb = b[lo : lo + _BLOCK] if b.shape[0] == a.shape[0] else b
-            total += float(np.dot(ab.ravel(), np.broadcast_to(bb, ab.shape).ravel()))
+            total += float(np.dot(a[lo : lo + _BLOCK].ravel(), b[lo : lo + _BLOCK].ravel()))
         return total
 
     return run
@@ -185,9 +183,10 @@ def _match_one(h: Hop) -> tuple | None:
     # --- sum(X ⊙ Y) / sum(X^2) ------------------------------------------
     if _is(h, "ua(+)"):
         inner = h.inputs[0]
-        if _is(inner, "b(*)") and inner.inputs[0].op == "leaf" and inner.inputs[1].op == "leaf":
+        if _is(inner, "b(*)") and inner.inputs[0].op == inner.inputs[1].op == "leaf":
             x, y = inner.inputs
-            return "tak+*", _k_ta_mult_sum(x, y), {inner.hid}, _binding(h, "C", "full_agg", x, [y])
+            if x.shape == y.shape:  # the kernel reads Y at X's cells
+                return "tak+*", _k_ta_mult_sum(x, y), {inner.hid}, _binding(h, "C", "full_agg", x, [y])
         if _is(inner, "b(^)") and _lit(inner.inputs[1]) == 2.0 and inner.inputs[0].op == "leaf":
             x = inner.inputs[0]
             return "tak^2", _k_ta_mult_sum(x, x), {inner.hid}, _binding(h, "C", "full_agg", x)

@@ -36,10 +36,47 @@ AGG_OPS = {
 }
 # ops where f(0) == 0, i.e. safe to evaluate only on non-zeros of the input
 SPARSE_SAFE_UNARY = {"u(sqrt)", "u(abs)", "u(sign)", "u(-)"}
-# binary ops sparse-safe in their FIRST operand (0 op y == 0)
-SPARSE_SAFE_BINARY_LEFT = {"b(*)", "b(/)", "b(^)"}
 
 _ids = itertools.count(1)
+
+
+# ------------------------------------------------------------ sparse-safety
+def sparse_safe(op: str, other: float | None = None, zero_left: bool = True) -> bool:
+    """Does ``op`` map a zero operand to zero, given the other operand's
+    literal value ``other`` (None if it is not a literal) and whether the
+    zero is the left operand? The one rule behind every sparse path."""
+    if op in SPARSE_SAFE_UNARY or op == "b(*)":
+        return True
+    if other is None:
+        return False
+    if op == "b(!=)":
+        return other == 0.0
+    if op == "b(^)":  # 0^s == 0 only for s > 0
+        return zero_left and other > 0.0
+    if op == "b(/)":  # 0/d == 0 for any non-zero, non-NaN divisor d
+        return zero_left and abs(other) > 0.0
+    return False
+
+
+def safe_in(h: Hop, operand: Hop) -> bool:
+    """Is ``h`` sparse-safe in its input ``operand``?"""
+    if len(h.inputs) != 2:
+        return sparse_safe(h.op)
+    a, b = h.inputs
+    other = b if operand is a else a
+    return sparse_safe(h.op, other.value if other.op == "lit" else None, operand is a)
+
+
+def sparse_safe_chain(hops) -> bool:
+    """May a fused operator covering ``hops`` iterate a sparse input's
+    non-zeros only? Yes if every aggregate is a sum and every other hop is
+    sparse-safe in a non-literal operand (then in all of them, as ``*``
+    is the only op safe without a literal)."""
+    return all(
+        h.op == "ua(+)" if h.op.startswith("ua(") else
+        any(safe_in(h, i) for i in h.inputs if i.op != "lit")
+        for h in hops
+    )
 
 
 @dataclass(eq=False)
@@ -97,25 +134,19 @@ def _broadcast_shape(a: Hop, b: Hop) -> tuple[int, int]:
 
 def binop(op: str, a: Hop, b: Hop) -> Hop:
     assert op in BINARY_OPS, op
-    nr, nc = _broadcast_shape(a, b)
-    if op == "b(*)":
-        sp = min(1.0, a.sparsity * b.sparsity) if (a.is_matrix and b.is_matrix and a.shape == b.shape) else min(a.sparsity, b.sparsity)
+    h = Hop(op, [a, b], *_broadcast_shape(a, b))
+    if op == "b(*)" and a.is_matrix and b.is_matrix and a.shape == b.shape:
+        h.sparsity = min(1.0, a.sparsity * b.sparsity)
     elif op in ("b(+)", "b(-)"):
-        sp = min(1.0, a.sparsity + b.sparsity)
-    elif op == "b(!=)" and (
-        (a.op == "lit" and a.value == 0.0) or (b.op == "lit" and b.value == 0.0)
-    ):
-        sp = b.sparsity if a.op == "lit" else a.sparsity
-    elif op in ("b(/)", "b(^)"):
-        sp = a.sparsity
-    else:
-        sp = 1.0
-    return Hop(op, [a, b], nr, nc, sp)
+        h.sparsity = min(1.0, a.sparsity + b.sparsity)
+    else:  # zero wherever an operand it is sparse-safe in is zero
+        h.sparsity = min((i.sparsity for i in h.inputs if safe_in(h, i)), default=1.0)
+    return h
 
 
 def unop(op: str, a: Hop) -> Hop:
     assert op in UNARY_OPS, op
-    sp = a.sparsity if op in SPARSE_SAFE_UNARY else 1.0
+    sp = a.sparsity if sparse_safe(op) else 1.0
     return Hop(op, [a], a.nrows, a.ncols, sp)
 
 

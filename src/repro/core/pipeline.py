@@ -69,6 +69,7 @@ def compile_dag(
     pre_compile_ms = ctx.plan_cache.stats.compile_ms
     pre_hits = ctx.plan_cache.stats.hits
     pre_miss = ctx.plan_cache.stats.misses
+    produced = {r.hid for s in sel.specs for r in [s.root, *s.magg_roots]}
     for spec in sel.specs:
         if spec.template is None or spec.n_covered <= 1:
             final_specs.append(spec)
@@ -82,9 +83,13 @@ def compile_dag(
             final_specs.append(spec)
         except (ValueError, KeyError):
             # defensive, counted fallback: execute the covered part as
-            # basic ops (the plan that runs is not the one costed)
+            # basic ops (the plan that runs is not the one costed), less
+            # the hops another operator produces
             ctx.stats.n_fallbacks += 1
-            final_specs.extend(_step(h, {h.hid: h}) for h in spec.covered.values())
+            final_specs.extend(
+                _step(h, {h.hid: h}) for h in spec.covered.values()
+                if h is spec.root or h.hid not in produced
+            )
     order = {h.hid: i for i, h in enumerate(postorder(roots))}
     final_specs.sort(key=lambda s: order[s.root.hid])
     dt = (time.perf_counter() - t0) * 1e3

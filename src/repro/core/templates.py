@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.hop import BINARY_OPS, UNARY_OPS, Hop
+from repro.core.hop import BINARY_OPS, UNARY_OPS, Hop, safe_in
 from repro.core.memo import CLOSED_INVALID, CLOSED_VALID, OPEN
 
 CELL_OPS = BINARY_OPS | UNARY_OPS
@@ -40,6 +40,18 @@ class TemplateConfig:
 
 
 CONFIG = TemplateConfig()
+
+
+def sparse_drivers(h: Hop) -> list[Hop]:
+    """The sparse matrix inputs ``h`` exploits: those of a multiply or of
+    a ``!= 0`` (an Outer operator's driver, the cost model's sparse
+    scale)."""
+    if h.op not in ("b(*)", "b(!=)"):
+        return []
+    return [
+        i for i in h.inputs
+        if i.is_matrix and i.sparsity <= CONFIG.sparse_threshold and safe_in(h, i)
+    ]
 
 
 def _is_matrix_input(h: Hop) -> bool:
@@ -209,7 +221,7 @@ class OuterTpl:
     def fuse(h: Hop, inp: Hop) -> bool:
         if h.op in CELL_OPS and not h.is_scalar:
             return OuterTpl._cell_ok(h, inp)
-        if h.op in FULL_AGGS:
+        if h.op == "ua(+)":  # max/min over the non-zeros miss the zeros
             return True
         if h.op == "ba(+*)":
             lhs, rhs = h.inputs

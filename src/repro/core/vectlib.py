@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.hop import sparse_safe
 from repro.lina.compressed import CLAMatrix
 from repro.lina.sparse import CSR, scatter_mm
 
@@ -58,13 +59,13 @@ def power(x, y):
         return np.reshape(sq, np.broadcast_shapes(np.shape(x), np.shape(y)))
     return np.power(x, y)
 def pow_(x, y):
-    if isinstance(x, CSR) and np.isscalar(y):
+    if isinstance(x, CSR) and np.isscalar(y) and sparse_safe("b(^)", float(y)):
         return x.scale_values(lambda v: power(v, float(y)))
     return power(_dense(x), _dense(y))
 def min_(x, y): return np.minimum(_dense(x), _dense(y))
 def max_(x, y): return np.maximum(_dense(x), _dense(y))
 def neq(x, y):
-    if isinstance(x, CSR) and np.isscalar(y) and float(y) == 0.0:
+    if isinstance(x, CSR) and np.isscalar(y) and sparse_safe("b(!=)", float(y)):
         return x.scale_values(lambda v: (v != 0).astype(np.float64))
     return (np.not_equal(_dense(x), _dense(y))).astype(np.float64)
 def eq(x, y): return (np.equal(_dense(x), _dense(y))).astype(np.float64)
@@ -178,7 +179,7 @@ def t(x):
     """Whole-operand transpose (only emitted for non-row-aligned sides)."""
     if isinstance(x, CSR):
         return x.transpose()
-    return np.transpose(np.atleast_2d(x))
+    return np.transpose(np.atleast_2d(_dense(x)))
 
 
 # ------------------------------------------------------- outer-product ops

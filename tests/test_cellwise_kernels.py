@@ -57,7 +57,11 @@ def _kinds(a: np.ndarray) -> dict:
     }
 
 
-LEFT, RIGHT = _kinds(_LEFT), _kinds(_RIGHT)
+# scalar right operands a CSR kernel must not treat as sparse-safe (X ^ 0,
+# X / 0, X ^ -1, X != -1) beside the 2.0 of "float"
+_SCALARS = {"float": 2.0, "0.0": 0.0, "-1.0": -1.0}
+LEFT = _kinds(_LEFT)
+RIGHT = {**_kinds(_RIGHT), **{k: (v, np.array([[v]])) for k, v in _SCALARS.items()}}
 _FULL = {"dense", "CSR", "CLA"}  # of the matrix's shape
 
 
@@ -80,15 +84,21 @@ NP_UNARY = {
 }
 
 
+# ops whose vectlib kernel has a CSR path (``vl.div`` has none)
+_CSR_KERNELS = {"b(*)", "b(^)", "b(!=)"}
+
+
 def _binary_type(op: str, ka: str, kb: str) -> type:
-    if ka == kb == "float":
+    if ka in _SCALARS and kb in _SCALARS:
         return float
-    if op == "b(*)" and "CSR" in (ka, kb):
+    if op in _CSR_KERNELS and "CSR" in (ka, kb):
         other = kb if ka == "CSR" else ka
-        if other in _FULL | {"float", "1x1"}:
+        # a CSR stays sparse against a scalar, a 1x1 or its own shape,
+        # where the op is sparse-safe in it
+        if other in _FULL | set(_SCALARS) | {"1x1"} and H.sparse_safe(
+            op, _SCALARS.get(other), zero_left=ka == "CSR"
+        ):
             return CSR
-    if op == "b(^)" and ka == "CSR" and kb == "float":
-        return CSR
     return np.ndarray
 
 
