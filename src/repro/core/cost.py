@@ -78,9 +78,7 @@ def flops_dense(h: Hop) -> float:
 
 def flops(h: Hop) -> float:
     """Sparsity-aware FLOP estimate for the operator executed standalone."""
-    if h.op == "ba(+*)":
-        return flops_dense(h) * h.inputs[0].sparsity
-    if h.op.startswith("ua("):
+    if h.op == "ba(+*)" or h.op.startswith("ua("):
         return flops_dense(h) * h.inputs[0].sparsity
     sp = min((i.sparsity for i in h.inputs if i.is_matrix and safe_in(h, i)), default=1.0)
     return flops_dense(h) * sp

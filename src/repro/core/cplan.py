@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.cost import OpSpec
-from repro.core.hop import Hop, sparse_safe_chain
+from repro.core.hop import Hop, sparse_safe_chain, zero_where
 from repro.core.templates import CONFIG, ROW_AGGS, sparse_drivers
 
 FULL_AGG_FN = {"ua(+)": "sum", "ua(max)": "max", "ua(min)": "min"}
@@ -89,13 +89,17 @@ def build_cplan(spec: OpSpec) -> CPlan:
             variant, agg_fn = "row_agg", "sum"
         elif root.op == "ua(C+)":
             variant, agg_fn = "col_agg", "sum"
-        # main: sparse driver if present, else largest matrix input
+        # main: sparse driver if present, else largest matrix input; the
+        # skeleton may skip its zeros only if every root's cells are 0 there
         mats = [h for h in spec.input_hops.values() if h.is_matrix or h.is_vector]
-        sparse = [h for h in mats if h.sparsity <= CONFIG.sparse_threshold and h.is_matrix]
+        cells = [r.inputs[0] if r.op.startswith("ua(") else r for r in [root, *spec.magg_roots]]
+        feeds = [h for h in mats if all(c.hid in zero_where(order, h) for c in cells)]
+        sparse = [h for h in feeds if h.sparsity <= CONFIG.sparse_threshold and h.is_matrix]
         if sparse and safe_chain:
             main_hid = min(sparse, key=lambda h: h.sparsity).hid
         elif mats:
             main_hid = max(mats, key=lambda h: h.memory_bytes()).hid
+        safe_chain = safe_chain and main_hid in {h.hid for h in feeds}
 
     elif t == "R":
         tx_child = None
@@ -190,20 +194,11 @@ def build_cplan(spec: OpSpec) -> CPlan:
         if not drivers:
             raise ValueError("Outer CPlan without sparse driver input")
         main_hid = min(drivers, key=lambda h: h.sparsity).hid
-        # correctness gate: the skeleton iterates non-zeros of the driver,
-        # so non-sparse-safe binaries must only see scalars, the driver
-        # itself, or other covered (nnz-evaluated) chains
-        for h in spec.covered.values():
-            if h.op in ("b(+)", "b(-)", "b(min)", "b(max)"):
-                for o in h.inputs:
-                    if not (
-                        o.is_scalar
-                        or o.hid == main_hid
-                        or o.hid in spec.covered
-                    ):
-                        raise ValueError(
-                            f"unsafe operand {o} under Outer nnz-iteration"
-                        )
+        # correctness gate: the skeleton skips the driver's zeros, so the
+        # cells it sums, multiplies by V or returns must be 0 at them
+        cell = root.inputs[0] if root.op in ("ba(+*)", "ua(+)") else root
+        if cell.hid not in zero_where(order, spec.input_hops[main_hid]):
+            raise ValueError(f"{cell} is not 0 where the Outer driver is")
         if root.op == "ba(+*)":
             variant = "right_mm"
             meta["right_hid"] = root.inputs[1].hid

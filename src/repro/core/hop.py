@@ -36,6 +36,7 @@ AGG_OPS = {
 }
 # ops where f(0) == 0, i.e. safe to evaluate only on non-zeros of the input
 SPARSE_SAFE_UNARY = {"u(sqrt)", "u(abs)", "u(sign)", "u(-)"}
+_ZERO_OF_ZEROS = {"b(+)", "b(-)", "b(min)", "b(max)"}  # f(0, 0) == 0, not sparse-safe
 
 _ids = itertools.count(1)
 
@@ -47,15 +48,13 @@ def sparse_safe(op: str, other: float | None = None, zero_left: bool = True) -> 
     zero is the left operand? The one rule behind every sparse path."""
     if op in SPARSE_SAFE_UNARY or op == "b(*)":
         return True
-    if other is None:
-        return False
     if op == "b(!=)":
         return other == 0.0
+    if other is None or not zero_left:
+        return False
     if op == "b(^)":  # 0^s == 0 only for s > 0
-        return zero_left and other > 0.0
-    if op == "b(/)":  # 0/d == 0 for any non-zero, non-NaN divisor d
-        return zero_left and abs(other) > 0.0
-    return False
+        return other > 0.0
+    return op == "b(/)" and abs(other) > 0.0  # 0/d == 0 for d non-zero, not NaN
 
 
 def safe_in(h: Hop, operand: Hop) -> bool:
@@ -77,6 +76,17 @@ def sparse_safe_chain(hops) -> bool:
         any(safe_in(h, i) for i in h.inputs if i.op != "lit")
         for h in hops
     )
+
+
+def zero_where(hops, src: Hop) -> set[int]:
+    """The hids of the cell-wise ``hops`` (inputs first) that are 0 wherever
+    ``src`` is: sparse-safe in such an operand, or +, -, min, max of two."""
+    zero = {src.hid}
+    for h in hops:
+        z = [i for i in h.inputs if i.hid in zero]
+        if any(safe_in(h, i) for i in z) or len(z) == 2 and h.op in _ZERO_OF_ZEROS:
+            zero.add(h.hid)
+    return zero
 
 
 @dataclass(eq=False)

@@ -48,10 +48,8 @@ def sparse_drivers(h: Hop) -> list[Hop]:
     scale)."""
     if h.op not in ("b(*)", "b(!=)"):
         return []
-    return [
-        i for i in h.inputs
-        if i.is_matrix and i.sparsity <= CONFIG.sparse_threshold and safe_in(h, i)
-    ]
+    return [i for i in h.inputs
+            if i.is_matrix and i.sparsity <= CONFIG.sparse_threshold and safe_in(h, i)]
 
 
 def _is_matrix_input(h: Hop) -> bool:

@@ -179,7 +179,7 @@ def t(x):
     """Whole-operand transpose (only emitted for non-row-aligned sides)."""
     if isinstance(x, CSR):
         return x.transpose()
-    return np.transpose(np.atleast_2d(_dense(x)))
+    return np.transpose(np.atleast_2d(x))
 
 
 # ------------------------------------------------------- outer-product ops

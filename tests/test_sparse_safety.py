@@ -256,24 +256,29 @@ def _with_tt(e):
     return [e, e.T.T]
 
 
-# DAGs on which the generator found a mode or format off dense Base
+# DAGs on which some mode or format was off dense Base
 FOUND = {
     # Outer driven by a != against a matrix; Outer max over non-zeros only
-    "neq_outer": lambda X, U, V, c: [X != U @ V.T],
-    "max_outer": lambda X, U, V, c: [H.max_(X * (U @ V.T))],
+    "neq_outer": lambda X, Y, U, V, c: [X != U @ V.T],
+    "max_outer": lambda X, Y, U, V, c: [H.max_(X * (U @ V.T))],
+    # Outer over X's non-zeros, whose cells are not 0 where X is
+    "outer_plus": lambda X, Y, U, V, c: [H.sum_((X * 2 + 1) * (U @ V.T))],
+    # a multi-aggregate iterated X's non-zeros for a root not reading X
+    "magg_other_root": lambda X, Y, U, V, c: [H.sum_(X * Y), H.sum_(Y**2)],
     # a CLA whole side of a Row operator reached vl.t undecompressed
-    "row_cla_side": lambda X, U, V, c: [X.T.T @ V],
+    "row_cla_side": lambda X, Y, U, V, c: [X.T.T @ V],
     # a failed CPlan's basic ops recomputed a root another operator makes
-    "fallback_root": lambda X, U, V, c: _with_tt(U @ V.T),
+    "fallback_root": lambda X, Y, U, V, c: _with_tt(U @ V.T),
     # the hand-coded sum(X * Y) read a vector Y at X's cells
-    "tak_vector": lambda X, U, V, c: [H.sum_(X * c), H.sum_(c * X)],
+    "tak_vector": lambda X, Y, U, V, c: [H.sum_(X * c), H.sum_(c * X)],
 }
 
 
 @pytest.mark.parametrize("case", sorted(FOUND))
 def test_found_dags(case):
-    X, U, V, c = H.var("X", n, m, 0.3), H.var("U", n, k), H.var("V", m, k), H.var("c", n, 1)
-    _check_all(FOUND[case](X, U, V, c), _data(0))
+    X, Y = H.var("X", n, m, 0.3), H.var("Y", n, m, 0.8)
+    U, V, c = H.var("U", n, k), H.var("V", m, k), H.var("c", n, 1)
+    _check_all(FOUND[case](X, Y, U, V, c), _data(0))
 
 
 # --------------------------------------------------------------- Spark
