@@ -171,7 +171,7 @@ def _exec_cellwise(op: SpoofOp, vals: dict):
         b = [_slice_side(s, lo, hi, n) for s in sides]
         res = op.fn(main[lo:hi], b)
         results = res if n_out > 1 else (res,)
-        for k, w in enumerate(map(vectlib._dense, results)):  # CSR if a side was
+        for k, w in enumerate(map(vectlib._dense, results)):  # CSR after a CSR side
             if cp.variant == "full_agg":
                 fn = vectlib.COMBINE[agg_fns[k] or "sum"]
                 v = fn.reduce(w, axis=None)
@@ -195,8 +195,9 @@ def _exec_cellwise(op: SpoofOp, vals: dict):
 # ------------------------------------------------------------------- Row
 def _exec_rowwise(op: SpoofOp, vals: dict):
     cp = op.cplan
+    sides = [vals[h] for h in cp.side_hids]
     # a side is read whole or by row blocks: decompress a CLA one once
-    sides = [v.decompress() if isinstance(v, CLAMatrix) else v for v in map(vals.get, cp.side_hids)]
+    sides = [s.decompress() if isinstance(s, CLAMatrix) else s for s in sides]
     whole = cp.meta.get("whole", False) or cp.main_hid < 0
     if whole:
         b = [vectlib._dense(s) for s in sides]

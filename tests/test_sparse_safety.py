@@ -105,7 +105,7 @@ def test_outer_needs_a_sparse_safe_driver():
 # 0 * -1 is -0.0, whose reciprocal is -inf). So the generator multiplies
 # only values that stay finite, and divides by (or raises to a negative
 # or non-literal power) no value that may be a negative zero.
-n, m, k = 12, 10, 3
+R, C, K = 12, 10, 3  # rows, columns and rank of the generated DAGs' inputs
 LITS = [0.0, 1.0, 2.0, 3.0, -1.0, 0.5, -0.5]
 _VALUES = np.array([-1.5, -1.0, 0.5, 1.0, 2.0])
 # ops whose result is finite over finite operands
@@ -153,7 +153,7 @@ def _allowed(op, a: Node, b: Node) -> bool:
 
 @st.composite
 def matrices(draw, pool, sides, depth):
-    """An n×m expression; ``pool`` holds the earlier ones, which a later
+    """An R×C expression; ``pool`` holds the earlier ones, which a later
     one may reuse (a CSE), and ``sides`` U, V, c and r."""
     kinds = ["pool", "outer"]
     if depth:
@@ -196,9 +196,9 @@ ROOTS = {
 def dags(draw):
     """One or two roots over X (sparse), Y and the sides; a matmult root
     (``e %*% V``, ``t(e) %*% c``) only over a finite ``e``."""
-    sides = {"U": H.var("U", n, k), "V": H.var("V", m, k),
-             "c": H.var("c", n, 1), "r": H.var("r", 1, m)}
-    pool = [Node(H.var("X", n, m, 0.3)), Node(H.var("Y", n, m, 0.8))]
+    sides = {"U": H.var("U", R, K), "V": H.var("V", C, K),
+             "c": H.var("c", R, 1), "r": H.var("r", 1, C)}
+    pool = [Node(H.var("X", R, C, 0.3)), Node(H.var("Y", R, C, 0.8))]
     roots = []
     for _ in range(draw(st.integers(1, 2))):
         node = draw(matrices(pool, sides, 3))
@@ -220,8 +220,8 @@ def _data(seed):
         a[g.random(shape) >= density] = 0.0
         return a
 
-    return {"X": mat((n, m), 0.3), "Y": mat((n, m), 0.8), "U": mat((n, k), 1.0),
-            "V": mat((m, k), 1.0), "c": mat((n, 1), 0.7), "r": mat((1, m), 0.7)}
+    return {"X": mat((R, C), 0.3), "Y": mat((R, C), 0.8), "U": mat((R, K), 1.0),
+            "V": mat((C, K), 1.0), "c": mat((R, 1), 0.7), "r": mat((1, C), 0.7)}
 
 
 def _show(h: H.Hop) -> str:
@@ -276,8 +276,8 @@ FOUND = {
 
 @pytest.mark.parametrize("case", sorted(FOUND))
 def test_found_dags(case):
-    X, Y = H.var("X", n, m, 0.3), H.var("Y", n, m, 0.8)
-    U, V, c = H.var("U", n, k), H.var("V", m, k), H.var("c", n, 1)
+    X, Y = H.var("X", R, C, 0.3), H.var("Y", R, C, 0.8)
+    U, V, c = H.var("U", R, K), H.var("V", C, K), H.var("c", R, 1)
     _check_all(FOUND[case](X, Y, U, V, c), _data(0))
 
 
