@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.core.hop import Hop, consumers, safe_in, sparse_safe_chain
 from repro.core.memo import CLOSED_VALID, MemoEntry, MemoTable
 from repro.core.partitions import Partition
-from repro.core.templates import CONFIG, MERGE_COMPATIBLE, sparse_drivers
+from repro.core.templates import BLOCKSIZE, MERGE_COMPATIBLE, sparse_drivers
 
 _FLOP_WEIGHT = {"u(exp)": 32, "u(log)": 32, "u(sigmoid)": 40, "b(^)": 16, "u(sqrt)": 8}
 
@@ -229,7 +229,7 @@ def violates_constraints(spec: OpSpec, cm: CostModel) -> bool:
         main = max(
             spec.input_hops.values(), key=lambda h: h.memory_bytes(), default=None
         )
-        if main is not None and main.ncols > CONFIG.blocksize:
+        if main is not None and main.ncols > BLOCKSIZE:
             return True
     return False
 

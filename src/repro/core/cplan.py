@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.core.cost import OpSpec
 from repro.core.hop import Hop, sparse_safe_chain, zero_where
-from repro.core.templates import CONFIG, ROW_AGGS, sparse_drivers
+from repro.core.templates import OUTER_RANK_MAX, ROW_AGGS, SPARSE_THRESHOLD, sparse_drivers
 
 FULL_AGG_FN = {"ua(+)": "sum", "ua(max)": "max", "ua(min)": "min"}
 
@@ -63,7 +63,7 @@ def _opening_outer_mm(spec: OpSpec) -> Hop | None:
         if (
             lhs.hid not in spec.covered
             and rhs.hid not in spec.covered
-            and lhs.ncols <= CONFIG.outer_rank_max
+            and lhs.ncols <= OUTER_RANK_MAX
         ):
             return h
     return None
@@ -94,7 +94,7 @@ def build_cplan(spec: OpSpec) -> CPlan:
         mats = [h for h in spec.input_hops.values() if h.is_matrix or h.is_vector]
         cells = [r.inputs[0] if r.op.startswith("ua(") else r for r in [root, *spec.magg_roots]]
         feeds = [h for h in mats if all(c.hid in zero_where(order, h) for c in cells)]
-        sparse = [h for h in feeds if h.sparsity <= CONFIG.sparse_threshold and h.is_matrix]
+        sparse = [h for h in feeds if h.sparsity <= SPARSE_THRESHOLD and h.is_matrix]
         if sparse and safe_chain:
             main_hid = min(sparse, key=lambda h: h.sparsity).hid
         elif mats:

@@ -116,7 +116,6 @@ def mpskip_enum(
     use_cost_pruning: bool = True,
     use_structural: bool = True,
     stats: EnumStats | None = None,
-    max_points: int = MAX_ENUM_POINTS,
 ) -> list[bool]:
     """Find the cost-optimal assignment q* for one partition."""
     cm = cm or CostModel()
@@ -132,14 +131,14 @@ def mpskip_enum(
     # partitioning + pruning alone, which is feasible at its Java costing
     # speed — this keeps the Python reproduction's optimizer sub-second
     # while preserving the high-impact decisions.
-    if m_all > max_points:
+    if m_all > MAX_ENUM_POINTS:
         def impact(i: int) -> tuple:
             p = all_points[i]
             sz = memo.hops[p.target].memory_bytes() if p.target in memo.hops else 0
             return (p.kind == "mat", sz)
 
         keep = sorted(
-            sorted(range(m_all), key=impact, reverse=True)[:max_points]
+            sorted(range(m_all), key=impact, reverse=True)[:MAX_ENUM_POINTS]
         )
     else:
         keep = list(range(m_all))

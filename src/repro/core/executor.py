@@ -64,14 +64,9 @@ def _eval_agg(op: str, x: Value) -> Value:
 
 
 def _eval_mm(a: Value, b: Value) -> Value:
-    # a TransposedCSR folds here: t(X) %*% B runs as X.tspmm(B), and
+    # a TransposedCSR folds in vl.mm: t(X) %*% B runs as X.tspmm(B), and
     # A %*% t(X) as X.spmm(Aᵀ)ᵀ
-    if isinstance(a, CSR):
-        return a.spmm(_as2d(b))
-    if isinstance(b, CSR):
-        # dense @ sparse == (sparseᵀ @ denseᵀ)ᵀ
-        return b.tspmm(_as2d(a).T).T
-    return _as2d(a) @ _as2d(b)
+    return vl.mm(*(v if isinstance(v, CSR) else _as2d(v) for v in (a, b)))
 
 
 def eval_hop(h: Hop, env: dict[int, Value], bindings: dict[str, Value]) -> Value:

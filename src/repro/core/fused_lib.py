@@ -18,6 +18,7 @@ from repro.core import vectlib
 from repro.core.cplan import CPlan
 from repro.core.executor import Value
 from repro.core.hop import Hop, consumers, postorder
+from repro.core.templates import OUTER_RANK_MAX
 from repro.core.vectlib import _dense
 from repro.lina.compressed import CLAMatrix
 from repro.lina.sparse import CSR
@@ -170,7 +171,7 @@ def _lit(h: Hop) -> float | None:
 
 def _outer_mm(h: Hop) -> tuple[Hop, Hop] | None:
     """Match U %*% t(V)-shaped mm (narrow common dim): returns (U, Vᵀ-hop)."""
-    if h.op != "ba(+*)" or h.inputs[0].ncols > 256:
+    if h.op != "ba(+*)" or h.inputs[0].ncols > OUTER_RANK_MAX:
         return None
     if not (h.nrows > h.inputs[0].ncols and h.ncols > h.inputs[0].ncols):
         return None
@@ -257,7 +258,7 @@ def _match_one(h: Hop) -> tuple | None:
                 om
                 and _is(mask, "b(!=)")
                 and _lit(mask.inputs[1]) == 0.0
-                and v.ncols <= 256
+                and v.ncols <= OUTER_RANK_MAX
             ):
                 return (
                     "wdivmm",

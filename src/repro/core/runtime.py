@@ -42,17 +42,23 @@ def _as_value(x):
     return x
 
 
+def aligned(v, n: int) -> bool:
+    """Whether a side input is read by the row blocks of an n-row main
+    input rather than whole: a dense or CSR matrix with its n rows. The
+    one rule of the local skeletons and of Spark's block pass."""
+    return isinstance(v, (np.ndarray, CSR)) and len(v.shape) == 2 and v.shape[0] == n > 1
+
+
+def row_block(v, lo: int, hi: int):
+    """Rows [lo, hi) of a dense or CSR matrix."""
+    return v.row_slice(lo, hi) if isinstance(v, CSR) else v[lo:hi]
+
+
 def _slice_side(s, lo: int, hi: int, n: int):
     """Row-align a side input for a dense block [lo, hi)."""
-    if isinstance(s, (float, int)):
-        return s
-    if isinstance(s, CSR):
-        return s.row_slice(lo, hi) if s.shape[0] == n else s
     if isinstance(s, CLAMatrix):
         s = s.decompress()
-    if isinstance(s, np.ndarray) and s.ndim == 2 and s.shape[0] == n:
-        return s[lo:hi]
-    return s
+    return row_block(s, lo, hi) if aligned(s, n) else s
 
 
 def _gather_side(s, rixv, cixv, n: int, m: int):
@@ -215,7 +221,7 @@ def _exec_rowwise(op: SpoofOp, vals: dict):
     parts: list = []
     for lo in range(0, n, bs):
         hi = min(n, lo + bs)
-        a = main.row_slice(lo, hi) if isinstance(main, CSR) else main[lo:hi]
+        a = row_block(main, lo, hi)
         b = [
             s if hid in whole_sides else _slice_side(s, lo, hi, n)
             for hid, s in zip(cp.side_hids, sides)

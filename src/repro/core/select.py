@@ -41,8 +41,6 @@ def select_plans(
     dag_roots: list[Hop],
     policy: str = "cost",
     cm: CostModel | None = None,
-    use_cost_pruning: bool = True,
-    use_structural: bool = True,
 ) -> SelectionResult:
     assert policy in POLICIES, policy
     cm = cm or CostModel()
@@ -59,15 +57,7 @@ def select_plans(
                 (p.consumer, p.target) for p in part.points if p.kind == "mat"
             }
             continue
-        q = mpskip_enum(
-            memo,
-            part,
-            dag_roots,
-            cm,
-            use_cost_pruning=use_cost_pruning,
-            use_structural=use_structural,
-            stats=stats,
-        )
+        q = mpskip_enum(memo, part, dag_roots, cm, stats=stats)
         cut |= invalid_edges(part.points, q)
     choose = "cost" if policy == "cost" else "coverage"
     decisions = GroupDecisions(memo, dag_roots, choose=choose, cm=cm)

@@ -14,8 +14,6 @@ needs the validity conditions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.hop import BINARY_OPS, UNARY_OPS, Hop, safe_in
 from repro.core.memo import CLOSED_INVALID, CLOSED_VALID, OPEN
 
@@ -28,18 +26,12 @@ COL_AGGS = {"ua(C+)"}
 CELL_AGGS = {"ua(+)", "ua(R+)", "ua(C+)", "ua(max)", "ua(min)"}
 
 
-@dataclass
-class TemplateConfig:
-    """Size thresholds; block size mirrors SystemML's 1024 blocking."""
-
-    blocksize: int = 1024           # B_c: distributed Row constraint ncol <= B_c
-    outer_rank_max: int = 256       # Outer: common dim (rank) upper bound
-    outer_min_dim: int = 8          # Outer: both output dims at least this
-    sparse_threshold: float = 0.4   # sparsity below which an input counts sparse
-    row_rhs_max: int = 1024         # Row: rhs of fused matmult must be narrow
-
-
-CONFIG = TemplateConfig()
+# size thresholds; the block size mirrors SystemML's 1024 blocking
+BLOCKSIZE = 1024         # B_c: distributed Row constraint ncol <= B_c
+OUTER_RANK_MAX = 256     # Outer: common dim (rank) upper bound
+OUTER_MIN_DIM = 8        # Outer: both output dims at least this
+SPARSE_THRESHOLD = 0.4   # sparsity below which an input counts sparse
+ROW_RHS_MAX = 1024       # Row: rhs of fused matmult must be narrow
 
 
 def sparse_drivers(h: Hop) -> list[Hop]:
@@ -49,7 +41,7 @@ def sparse_drivers(h: Hop) -> list[Hop]:
     if h.op not in ("b(*)", "b(!=)"):
         return []
     return [i for i in h.inputs
-            if i.is_matrix and i.sparsity <= CONFIG.sparse_threshold and safe_in(h, i)]
+            if i.is_matrix and i.sparsity <= SPARSE_THRESHOLD and safe_in(h, i)]
 
 
 def _is_matrix_input(h: Hop) -> bool:
@@ -120,7 +112,7 @@ class RowTpl:
 
     @staticmethod
     def _narrow(h: Hop) -> bool:
-        return h.ncols <= CONFIG.row_rhs_max
+        return h.ncols <= ROW_RHS_MAX
 
     @staticmethod
     def open(h: Hop) -> bool:
@@ -188,9 +180,9 @@ class OuterTpl:
         lhs, rhs = h.inputs
         k = lhs.ncols
         return (
-            k <= CONFIG.outer_rank_max
-            and h.nrows >= CONFIG.outer_min_dim
-            and h.ncols >= CONFIG.outer_min_dim
+            k <= OUTER_RANK_MAX
+            and h.nrows >= OUTER_MIN_DIM
+            and h.ncols >= OUTER_MIN_DIM
             and k < min(h.nrows, h.ncols)
         )
 
@@ -210,7 +202,7 @@ class OuterTpl:
             # this is exactly the paper's 'Y + X ⊙ UVᵀ' switch case.
             other = [i for i in h.inputs if i is not inp]
             return all(
-                o.is_scalar or (o.is_matrix and o.sparsity <= CONFIG.sparse_threshold)
+                o.is_scalar or (o.is_matrix and o.sparsity <= SPARSE_THRESHOLD)
                 for o in other
             )
         return False
@@ -224,7 +216,7 @@ class OuterTpl:
         if h.op == "ba(+*)":
             lhs, rhs = h.inputs
             # right_mm: (fused outer intermediate) %*% V with narrow V
-            if inp is lhs and rhs.ncols <= CONFIG.outer_rank_max:
+            if inp is lhs and rhs.ncols <= OUTER_RANK_MAX:
                 return True
         return False
 

@@ -102,9 +102,12 @@ UNARY = {
 
 # ------------------------------------------------------- row-block algebra
 def mm(x, y):
-    """Row-block matrix multiply: (nb×m) @ (m×k)."""
+    """Matrix multiply, for a dense or CSR operand on either side: a CSR
+    ``y`` runs as ``(yᵀ xᵀ)ᵀ``, with no dense copy of it."""
     if isinstance(x, CSR):
         return x.spmm(_dense(y))
+    if isinstance(y, CSR):
+        return y.tspmm(_dense(x).T).T
     return _dense(x) @ _dense(y)
 
 

@@ -7,14 +7,17 @@ restricted to row-wise blocking (all Table-6 algorithms satisfy the Row
 template's distributed constraint ``ncol(X) ≤ B_c``, so a single block
 spans full rows).
 
-The block primitives return their result *unmaterialized*; a per-block
-map's (``map_bid``) is *pending*: a map or reduce over it composes the
-two block functions, so ``rowSums(X^2)`` is one ``mapInPandas`` pass
-over ``X``, as SystemML's lazy Spark instructions pipeline. The caller
-places each result as SystemML's hybrid runtime does: ``SparkBackend``
-collects a narrow one to the driver (``to_numpy``, one job), leaves a
-pending one that one operator reads, and persists any other
-(``materialize``, persist + count).
+Every pass is ``map_rows`` or ``reduce_rows`` of ``fn(bid, block,
+*side_blocks)``, over a matrix's own blocks (``map_bid``/``reduce_bid``)
+or over them joined on bid with row-aligned matrices
+(``zip_blocks``/``zip_reduce``); ``ops.block_pass`` picks one. Results
+are *unmaterialized*; a ``map_bid``'s is *pending*: a map or reduce
+over it composes the two block functions, so ``rowSums(X^2)`` is one
+``mapInPandas`` pass over ``X``, as SystemML's lazy Spark instructions
+pipeline. The caller places each result as SystemML's hybrid runtime
+does: ``SparkBackend`` collects a narrow one to the driver
+(``to_numpy``, one job), leaves a pending one that one operator reads,
+and persists any other (``materialize``, persist + count).
 """
 from __future__ import annotations
 
@@ -197,23 +200,17 @@ def join_blocks(a: RowBlockMatrix, others: list[RowBlockMatrix]):
 
 
 def zip_blocks(
-    a: RowBlockMatrix, others: list[RowBlockMatrix], fn,
-    ncols_out: int | None = None,
+    a: RowBlockMatrix, others: list[RowBlockMatrix], fn, ncols_out: int | None = None
 ) -> RowBlockMatrix:
     """Join row-aligned distributed matrices on bid and apply
-    ``fn(block_a, *blocks_others) -> block`` (the distributed join path
-    for row-aligned side inputs)."""
+    ``fn(bid, block_a, *blocks_others) -> block`` (unmaterialized)."""
     df, names = join_blocks(a, others)
-    out_df = map_rows(df, lambda bid, *blks: fn(*blks), names)
-    return RowBlockMatrix(
-        out_df, a.nrows, ncols_out if ncols_out is not None else a.ncols,
-        a.block_rows,
-    )
+    ncols = ncols_out if ncols_out is not None else a.ncols
+    return RowBlockMatrix(map_rows(df, fn, names), a.nrows, ncols, a.block_rows)
 
 
-def zip_reduce(
-    a: RowBlockMatrix, others: list[RowBlockMatrix], fn, combine
-):
-    """Join on bid, map to partials, combine on the driver."""
+def zip_reduce(a: RowBlockMatrix, others: list[RowBlockMatrix], fn, combine):
+    """Join on bid, map ``fn(bid, block_a, *blocks_others)`` to partials,
+    combine them on the driver."""
     df, names = join_blocks(a, others)
-    return reduce_rows(df, lambda bid, *blks: fn(*blks), combine, names)
+    return reduce_rows(df, fn, combine, names)

@@ -1,17 +1,22 @@
 """Distributed basic operators over RowBlockMatrix (SystemML's Spark
-instructions) — the baseline the fused operators beat. An operator
-whose result is a matrix returns it unmaterialized, for the caller to
-place (``SparkBackend`` collects narrow results to the driver, leaves
+instructions) — the baseline the fused operators beat — and
+``block_pass``, the one pass over a matrix's row blocks that every
+distributed operator with a side runs through, fused ones included
+(``fusedexec``). It reads each side one way: a scalar as is, a
+distributed matrix joined on bid, the local values broadcast together,
+once, and each read whole, by the block's rows (when ``aligned``, the
+rule the local skeletons use too) or by its columns. An operator whose
+result is a matrix returns it unmaterialized, for the caller to place
+(``SparkBackend`` collects narrow results to the driver, leaves
 single-reader ones pending and materializes the rest); aggregates and
 ``t(X) %*% ·`` / ``A %*% X`` combine block partials on the driver and
 return local values.
 
-Small operands (vectors, narrow matrices) are shipped to executors via
-explicit ``SparkContext.broadcast``, so broadcast overhead is real and
-measurable — the effect behind Gen-FA's distributed slowdowns (§5.5).
-Every broadcast goes through ``broadcast_value``, which also records it
-in the innermost ``recording_broadcasts`` scope, so the caller can
-release it.
+Broadcasts are explicit ``SparkContext.broadcast`` calls, so their
+overhead is real and measurable — the effect behind Gen-FA's
+distributed slowdowns (§5.5). Every broadcast goes through
+``broadcast_value``, which also records it in the innermost
+``recording_broadcasts`` scope, so the caller can release it.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ import numpy as np
 
 from repro.core import vectlib as vl
 from repro.core.cplan import FULL_AGG_FN
-from repro.lina.sparse import CSR
+from repro.core.runtime import aligned, row_block
 from repro.sparkdist.blocked import RowBlockMatrix, zip_blocks, zip_reduce
 
 
@@ -68,33 +73,61 @@ def is_dist(v) -> bool:
     return isinstance(v, (RowBlockMatrix, TransposedRBM))
 
 
+# ---------------------------------------------------------- the block pass
+WHOLE, ROWS, COLS, JOIN = "whole", "rows", "cols", "join"
+
+
+def block_pass(spark, X: RowBlockMatrix, sides: list, fn, ncols=None, combine=None):
+    """``fn(block, *side_blocks)`` over X's row blocks: a pending map
+    (``ncols`` wide), or with ``combine`` the block partials combined on
+    the driver. A side is read as a scalar, passed as is; a row-aligned
+    ``RowBlockMatrix``, joined on bid (``zip_blocks``/``zip_reduce``); or
+    a local value. The local values are broadcast together, once, and
+    each is read by the block's rows if ``aligned`` to X, else whole; a
+    ``(WHOLE, v)`` or ``(COLS, v)`` side is read whole or by the block's
+    columns (``A %*% X``)."""
+    reads, dist, local = [], [], []  # reads: (how, scalar or local index)
+    for s in sides:
+        how, v = s if isinstance(s, tuple) else (None, s)
+        if isinstance(v, (float, int)):
+            reads.append((None, v))
+        elif isinstance(v, RowBlockMatrix):
+            reads.append((JOIN, None))
+            dist.append(v)
+        else:
+            reads.append((how or (ROWS if aligned(v, X.nrows) else WHOLE), len(local)))
+            local.append(v)
+    bc = broadcast_value(spark, tuple(local)) if local else None
+    bs = X.block_rows
+
+    def block_fn(bid, blk, *dist_blks):
+        lo, hi, joined = bid * bs, bid * bs + blk.shape[0], iter(dist_blks)
+        return fn(blk, *(
+            a if how is None else next(joined) if how == JOIN else _read(bc.value[a], how, lo, hi)
+            for how, a in reads
+        ))
+
+    if not dist:
+        return X.map_bid(block_fn, ncols) if combine is None else X.reduce_bid(block_fn, combine)
+    if combine is None:
+        return zip_blocks(X, dist, block_fn, ncols)
+    return zip_reduce(X, dist, block_fn, combine)
+
+
+def _read(v, how: str, lo: int, hi: int):
+    return row_block(v, lo, hi) if how == ROWS else v[:, lo:hi] if how == COLS else v
+
+
 # ---------------------------------------------------------------- operators
 def elementwise(spark, op: str, a, b):
-    """Binary cell-wise op with at least one distributed operand."""
-    fn = vl.BINARY[op]
-    if isinstance(a, RowBlockMatrix) and isinstance(b, RowBlockMatrix):
-        return zip_blocks(a, [b], lambda x, y: fn(vl._dense(x), vl._dense(y)))
+    """Binary cell-wise op with at least one distributed operand; a
+    local matrix operand is shipped dense."""
+    fn, d = vl.BINARY[op], vl._dense
     if isinstance(a, RowBlockMatrix):
-        return _with_local(spark, a, b, fn)
+        return block_pass(spark, a, [d(b)], lambda x, y: fn(d(x), d(y)))
     if isinstance(b, RowBlockMatrix):
-        return _with_local(spark, b, a, lambda x, v: fn(v, x))
+        return block_pass(spark, b, [d(a)], lambda x, y: fn(d(y), d(x)))
     raise TypeError("no distributed operand")
-
-
-def _with_local(spark, X: RowBlockMatrix, v, fn):
-    """``fn(block, v')`` per block of X, where v' is a scalar, the
-    broadcast local operand, or — for a row-aligned local matrix — its
-    rows of the block."""
-    if isinstance(v, (float, int)):
-        return X.map_blocks(lambda x: fn(vl._dense(x), v))
-    v = vl._dense(v)
-    bc = broadcast_value(spark, v)
-    if isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[0] == X.nrows and X.nrows > 1:
-        bs = X.block_rows
-        return X.map_bid(
-            lambda bid, x: fn(vl._dense(x), bc.value[bid * bs : bid * bs + x.shape[0]])
-        )
-    return X.map_blocks(lambda x: fn(vl._dense(x), bc.value))
 
 
 def unary(spark, op: str, a: RowBlockMatrix):
@@ -104,36 +137,17 @@ def unary(spark, op: str, a: RowBlockMatrix):
 
 def matmult(spark, a, b):
     """Distributed matrix multiply variants."""
+    d = vl._dense
     if isinstance(a, RowBlockMatrix) and not is_dist(b):
-        bc = broadcast_value(spark, vl._dense(b))
-        k = vl._dense(b).shape[1]
-        return a.map_blocks(lambda x: vl.mm(x, bc.value), ncols_out=k)
+        # X %*% B: B read whole, even for a square X
+        return block_pass(spark, a, [(WHOLE, d(b))], vl.mm, ncols=d(b).shape[1])
     if isinstance(a, TransposedRBM):
-        X = a.base
-        if isinstance(b, RowBlockMatrix):
-            # t(X) %*% Y, both row-aligned: sum of per-block Xᵇᵀ Yᵇ
-            assert X.nrows == b.nrows
-            return zip_reduce(X, [b], vl.tmm_acc, np.add)
-        # t(X) %*% local y (n-aligned local matrix): ship y, slice per block
-        bc = broadcast_value(spark, vl._dense(b))
-        return sum_blocks(X, lambda x, lo: vl.tmm_acc(x, bc.value[lo : lo + x.shape[0]]))
+        # t(X) %*% Y: Σ over blocks of Xᵇᵀ Yᵇ, Y joined on bid or sliced
+        return block_pass(spark, a.base, [d(b)], vl.tmm_acc, combine=np.add)
     if isinstance(b, RowBlockMatrix) and not is_dist(a):
-        # local A (k×n) %*% X: ship A, sum of per-block A[:, rows_b] Xᵇ
-        bc = broadcast_value(spark, vl._dense(a))
-        return sum_blocks(b, lambda x, lo: _lmm(bc.value[:, lo : lo + x.shape[0]], x))
+        # local A (k×n) %*% X: Σ over blocks of A[:, rows_b] Xᵇ
+        return block_pass(spark, b, [(COLS, d(a))], lambda x, ab: vl.mm(ab, x), combine=np.add)
     raise TypeError(f"unsupported distributed matmult {type(a)} @ {type(b)}")
-
-
-def _lmm(a, x):
-    """a x for a dense a and a dense or CSR block x."""
-    return x.tspmm(a.T).T if isinstance(x, CSR) else a @ x
-
-
-def sum_blocks(X: RowBlockMatrix, part):
-    """Σ over row blocks of ``part(block, first_row)``, summed on the
-    driver (one job)."""
-    bs = X.block_rows
-    return X.reduce_bid(lambda bid, x: part(x, bid * bs), np.add)
 
 
 def aggregate(spark, op: str, a: RowBlockMatrix):
