@@ -16,7 +16,7 @@ def main() -> int:
             [
                 "algorithm", "total_s", "compile(dags/cplans/classes)",
                 "codegen_ms", "class_compile_ms", "cache_hits",
-                "plans_evaluated", "fallbacks",
+                "plans_evaluated",
             ],
         )
     )

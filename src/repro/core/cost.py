@@ -4,22 +4,26 @@
 operators ``p`` implied by a materialization assignment ``q``: read and
 write times are sizes normalized by peak bandwidths, compute time is
 FLOPs over peak compute, and sparsity-exploiting operators scale their
-estimates by the sparsity of the main (sparse-driver) input.
+estimates by the sparsity of the main input.
 
 ``decompose`` turns (memo table, assignment) into the concrete list of
 operators, taking each group's operator from a memoized
-``GroupDecisions``. The same decision function serves enumeration
-costing and the final fused-operator construction, so what we cost is
-exactly what we run.
+``GroupDecisions``. Every fused candidate is costed with the CPlan it
+would run (``build_cplan``): a candidate without one is not an operator,
+and the sparse scale is that CPlan's, the sparsity of the main input its
+skeleton iterates. The same decision function serves enumeration
+costing and the final plan, whose specs carry their CPlans to code
+generation, so what we cost is exactly what we run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.hop import Hop, consumers, safe_in, sparse_safe_chain
+from repro.core.cplan import CPlan, build_cplan
+from repro.core.hop import Hop, consumers, safe_in
 from repro.core.memo import CLOSED_VALID, MemoEntry, MemoTable
 from repro.core.partitions import Partition
-from repro.core.templates import BLOCKSIZE, MERGE_COMPATIBLE, sparse_drivers
+from repro.core.templates import BLOCKSIZE, MERGE_COMPATIBLE
 
 _FLOP_WEIGHT = {"u(exp)": 32, "u(log)": 32, "u(sigmoid)": 40, "b(^)": 16, "u(sqrt)": 8}
 
@@ -55,6 +59,7 @@ class OpSpec:
     sparse_scale: float = 1.0        # sparsity-exploitation factor (<1 = exploiting)
     magg_roots: list[Hop] = field(default_factory=list)  # extra roots (multi-agg)
     est_cost: float | None = None    # op_cost when chosen by GroupDecisions
+    cplan: CPlan | None = None       # what a fused operator runs
 
     @property
     def n_covered(self) -> int:
@@ -132,14 +137,6 @@ def _expand(
             inputs.append(inp)
 
 
-def _sparse_scale(template: str, covered: dict[int, Hop]) -> float:
-    """Sparsity-exploitation factor for a fused operator: the sparsity of
-    the sparse driver, when the covered chain is sparse-safe over it."""
-    cand = [i.sparsity for h in covered.values() for i in sparse_drivers(h)]
-    safe = template == "O" or template in ("C", "M") and sparse_safe_chain(covered.values())
-    return min(cand) if cand and safe else 1.0
-
-
 def _op_from_entry(
     memo: MemoTable, h: Hop, entry: MemoEntry, cut: set[tuple[int, int]]
 ) -> OpSpec:
@@ -147,7 +144,7 @@ def _op_from_entry(
     entries: dict[int, MemoEntry] = {}
     inputs: list[Hop] = []
     _expand(memo, h, entry, entry.type, cut, covered, entries, inputs)
-    spec = OpSpec(
+    return OpSpec(
         root=h,
         template=entry.type,
         covered=covered,
@@ -155,7 +152,15 @@ def _op_from_entry(
         input_hids=[i.hid for i in inputs],
         input_hops={i.hid: i for i in inputs},
     )
-    spec.sparse_scale = _sparse_scale(entry.type, covered)
+
+
+def _with_cplan(spec: OpSpec) -> OpSpec | None:
+    """``spec`` carrying its CPlan and that CPlan's sparse scale, or None
+    when no CPlan can be built for it."""
+    spec.cplan = build_cplan(spec)
+    if spec.cplan is None:
+        return None
+    spec.sparse_scale = spec.cplan.sparse_scale
     return spec
 
 
@@ -221,10 +226,9 @@ def is_distributed(spec: OpSpec, cm: CostModel) -> bool:
 
 def violates_constraints(spec: OpSpec, cm: CostModel) -> bool:
     """Conditional constraints Z: a distributed Row operator requires
-    whole-row access, i.e. ncol(main) <= blocksize (paper §4.1); an Outer
-    operator requires a sparse driver to iterate over (paper §3.2)."""
-    if spec.template == "O" and spec.sparse_scale >= 1.0:
-        return True
+    whole-row access, i.e. ncol(main) <= blocksize (paper §4.1). The
+    template constraints a CPlan checks (an Outer operator's sparse
+    driver, §3.2) hold for every candidate whose CPlan builds."""
     if spec.template == "R" and is_distributed(spec, cm):
         main = max(
             spec.input_hops.values(), key=lambda h: h.memory_bytes(), default=None
@@ -267,15 +271,16 @@ class GroupDecisions:
     """The operator chosen at each group under a cut, memoized.
 
     The decision at group ``hid`` — the cost-best (or, for the heuristic
-    policies, best-covering) maximal valid fused operator rooted there, or
-    the basic operator — and its ``op_cost`` depend only on the cut edges
-    whose consumer lies in ``ref_descendants(hid)``: validity is checked
-    on the group's own edges and expansions follow references only. The
-    decision is memoized under that part of the cut, encoded as a bitmask
-    over the edges seen so far, so costing an assignment is a walk of memo
-    hits that rebuilds only the groups whose relevant cut changed (the
-    paper's cost-vector reuse, §4.3). ``restrict_to``, ``choose`` and the
-    cost model are fixed for the object's lifetime."""
+    policies, best-covering) maximal valid fused operator rooted there
+    whose CPlan builds, or the basic operator — and its ``op_cost``
+    depend only on the cut edges whose consumer lies in
+    ``ref_descendants(hid)``: validity is checked on the group's own
+    edges and expansions follow references only. The decision is
+    memoized under that part of the cut, encoded as a bitmask over the
+    edges seen so far, so costing an assignment is a walk of memo hits
+    that rebuilds only the groups whose relevant cut changed (the paper's
+    cost-vector reuse, §4.3). ``restrict_to``, ``choose`` and the cost
+    model are fixed for the object's lifetime."""
 
     def __init__(
         self,
@@ -338,7 +343,8 @@ class GroupDecisions:
         best_score: tuple | None = None
         for e in cands.values():
             spec = _op_from_entry(memo, h, e, cut)
-            if spec.n_covered <= 1 or violates_constraints(spec, cm):
+            if (spec.n_covered <= 1 or violates_constraints(spec, cm)
+                    or _with_cplan(spec) is None):
                 continue
             spec.est_cost = op_cost(spec, cm, is_distributed(spec, cm))
             if self.choose == "cost":
@@ -417,6 +423,7 @@ def combine_multi_aggregates(specs: list[OpSpec]) -> list[OpSpec]:
             continue
         # non-destructive merge: specs are shared via the memoized group
         # decisions, so build a fresh combined OpSpec (est_cost unset)
+        # with its own CPlan, which a multi-aggregate always has
         head = OpSpec(
             root=group[0].root,
             template="M",
@@ -424,7 +431,6 @@ def combine_multi_aggregates(specs: list[OpSpec]) -> list[OpSpec]:
             entries=dict(group[0].entries),
             input_hids=list(group[0].input_hids),
             input_hops=dict(group[0].input_hops),
-            sparse_scale=min(s.sparse_scale for s in group),
             magg_roots=list(group[0].magg_roots),
         )
         for other in group[1:]:
@@ -435,7 +441,7 @@ def combine_multi_aggregates(specs: list[OpSpec]) -> list[OpSpec]:
                     head.input_hids.append(hid_)
                     head.input_hops[hid_] = hop_
             head.magg_roots.append(other.root)
-        combined.append(head)
+        combined.append(_with_cplan(head))
     return rest + combined
 
 

@@ -9,10 +9,13 @@ A CPlan fixes the template type and variant (Table 1), the data binding
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.cost import OpSpec
 from repro.core.hop import Hop, sparse_safe_chain, zero_where
 from repro.core.templates import OUTER_RANK_MAX, ROW_AGGS, SPARSE_THRESHOLD, sparse_drivers
+
+if TYPE_CHECKING:
+    from repro.core.cost import OpSpec
 
 FULL_AGG_FN = {"ua(+)": "sum", "ua(max)": "max", "ua(min)": "min"}
 
@@ -35,6 +38,14 @@ class CPlan:
     @property
     def n_outputs(self) -> int:
         return 1 + len(self.magg_roots)
+
+    @property
+    def sparse_scale(self) -> float:
+        """The compute share the skeleton runs: the main input's sparsity
+        when it iterates that sparse input's non-zeros only, else 1."""
+        main = self.input_hops.get(self.main_hid)
+        sparse = main is not None and main.is_matrix and main.sparsity <= SPARSE_THRESHOLD
+        return main.sparsity if self.sparse_safe and sparse else 1.0
 
 
 def _topo_covered(spec: OpSpec) -> list[Hop]:
@@ -69,9 +80,10 @@ def _opening_outer_mm(spec: OpSpec) -> Hop | None:
     return None
 
 
-def build_cplan(spec: OpSpec) -> CPlan:
+def build_cplan(spec: OpSpec) -> CPlan | None:
     """Construct the CPlan (template variant + bindings + op order) for a
-    selected fused-operator spec."""
+    fused-operator candidate, or None when no skeleton can run it as one
+    operator. Selection costs and keeps only candidates that build."""
     assert spec.template is not None
     order = _topo_covered(spec)
     root = spec.root
@@ -80,7 +92,7 @@ def build_cplan(spec: OpSpec) -> CPlan:
     variant, agg_fn = "no_agg", None
     main_hid = -1
     meta: dict = {}
-    safe_chain = sparse_safe_chain(spec.covered.values())
+    sparse_safe = t == "O"
 
     if t in ("C", "M"):
         if root.op in FULL_AGG_FN:
@@ -92,14 +104,20 @@ def build_cplan(spec: OpSpec) -> CPlan:
         # main: sparse driver if present, else largest matrix input; the
         # skeleton may skip its zeros only if every root's cells are 0 there
         mats = [h for h in spec.input_hops.values() if h.is_matrix or h.is_vector]
-        cells = [r.inputs[0] if r.op.startswith("ua(") else r for r in [root, *spec.magg_roots]]
-        feeds = [h for h in mats if all(c.hid in zero_where(order, h) for c in cells)]
+        cells = {(r.inputs[0] if r.op.startswith("ua(") else r).hid
+                 for r in [root, *spec.magg_roots]}
+        safe_chain = sparse_safe_chain(spec.covered.values())
+        feeds = [h for h in mats if safe_chain and cells <= zero_where(order, h)]
         sparse = [h for h in feeds if h.sparsity <= SPARSE_THRESHOLD and h.is_matrix]
-        if sparse and safe_chain:
+        if sparse:
             main_hid = min(sparse, key=lambda h: h.sparsity).hid
         elif mats:
             main_hid = max(mats, key=lambda h: h.memory_bytes()).hid
-        safe_chain = safe_chain and main_hid in {h.hid for h in feeds}
+        sparse_safe = (
+            main_hid in {h.hid for h in feeds}
+            and variant in ("full_agg", "no_agg", "row_agg")
+            and agg_fn in (None, "sum")
+        )
 
     elif t == "R":
         tx_child = None
@@ -130,6 +148,10 @@ def build_cplan(spec: OpSpec) -> CPlan:
         # dimension (square-matrix aliasing); only cell-wise-consumed
         # inputs are row-aligned.
         whole: set[int] = set()
+        cons: dict[int, list[Hop]] = {}  # hid -> its covered consumers
+        for c in spec.covered.values():
+            for hid_in in {i.hid for i in c.inputs}:
+                cons.setdefault(hid_in, []).append(c)
 
         def _is_whole_rhs(c: Hop, hid_in: int) -> bool:
             # mm rhs is a whole (B1) side — EXCEPT in the tmm_acc pattern
@@ -145,18 +167,12 @@ def build_cplan(spec: OpSpec) -> CPlan:
             return not tmm
 
         for hid_in, hop_in in spec.input_hops.items():
-            cons = [
-                c
-                for c in spec.covered.values()
-                if any(i.hid == hid_in for i in c.inputs)
-            ]
-            whole_rhs = [c for c in cons if _is_whole_rhs(c, hid_in)]
-            if (whole_rhs and len(whole_rhs) == len(cons)) or hop_in.nrows != n:
+            reads = cons.get(hid_in, [])
+            whole_rhs = [c for c in reads if _is_whole_rhs(c, hid_in)]
+            if (whole_rhs and len(whole_rhs) == len(reads)) or hop_in.nrows != n:
                 whole.add(hid_in)
             elif whole_rhs:
-                raise ValueError(
-                    "side input consumed both row-aligned and as mm rhs"
-                )
+                return None  # consumed both row-aligned and as mm rhs
         aligned = [
             h
             for h in spec.input_hops.values()
@@ -170,21 +186,16 @@ def build_cplan(spec: OpSpec) -> CPlan:
         # only executable as the tmm_acc pattern (blockwise transpose of
         # an aligned operand is not block-decomposable otherwise)
         for h in spec.covered.values():
-            if h.op != "t" or h.inputs[0].nrows != n or n <= 1:
+            if h.op != "t" or h is root or h.inputs[0].nrows != n or n <= 1:
                 continue
-            consumers_in = [
-                c for c in spec.covered.values() if any(i is h for i in c.inputs)
-            ]
-            ok = all(
-                c.op == "ba(+*)" and c.inputs[0] is h for c in consumers_in
-            ) and (consumers_in or h is root)
-            if not (ok or h is root):
-                raise ValueError("row-aligned transpose outside tmm_acc pattern")
+            reads = cons.get(h.hid, [])
+            if not reads or any(c.op != "ba(+*)" or c.inputs[0] is not h for c in reads):
+                return None
 
     elif t == "O":
         mm = _opening_outer_mm(spec)
         if mm is None:
-            raise ValueError("Outer CPlan without opening outer-product mm")
+            return None
         meta["outer_mm_hid"] = mm.hid
         meta["u_hid"] = mm.inputs[0].hid
         meta["vt_hid"] = mm.inputs[1].hid  # holds Vᵀ (r×m); runtime transposes
@@ -192,13 +203,13 @@ def build_cplan(spec: OpSpec) -> CPlan:
         drivers = [i for h in spec.covered.values() for i in sparse_drivers(h)
                    if i.hid in spec.input_hops]
         if not drivers:
-            raise ValueError("Outer CPlan without sparse driver input")
+            return None
         main_hid = min(drivers, key=lambda h: h.sparsity).hid
         # correctness gate: the skeleton skips the driver's zeros, so the
         # cells it sums, multiplies by V or returns must be 0 at them
         cell = root.inputs[0] if root.op in ("ba(+*)", "ua(+)") else root
         if cell.hid not in zero_where(order, spec.input_hops[main_hid]):
-            raise ValueError(f"{cell} is not 0 where the Outer driver is")
+            return None
         if root.op == "ba(+*)":
             variant = "right_mm"
             meta["right_hid"] = root.inputs[1].hid
@@ -206,13 +217,6 @@ def build_cplan(spec: OpSpec) -> CPlan:
             variant, agg_fn = "full_agg", FULL_AGG_FN[root.op]
 
     side_hids = [h for h in spec.input_hids if h != main_hid]
-    sparse_safe = (
-        t in ("C", "M")
-        and safe_chain
-        and variant in ("full_agg", "no_agg", "row_agg")
-        and agg_fn in (None, "sum")
-    ) or t == "O"
-
     magg_fns = []
     for r in spec.magg_roots:
         magg_fns.append(FULL_AGG_FN.get(r.op, "sum"))

@@ -297,10 +297,3 @@ def _match_root(h: Hop) -> HandOp | None:
     """The operator matched at h (also how a pickled HandOp is rebuilt)."""
     m = _match_one(h)
     return None if m is None else HandOp(h, *m)
-
-
-def execute_fused(roots: list[Hop], bindings: dict) -> list[Value]:
-    """The *Fused* executor: basic operators + hand-coded fused kernels."""
-    from repro.core.pipeline import execute_plan, plan_fused
-
-    return execute_plan(plan_fused(roots), bindings)

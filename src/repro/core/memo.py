@@ -26,8 +26,6 @@ OPEN = 0
 CLOSED_VALID = 1
 CLOSED_INVALID = -1
 
-TEMPLATE_TYPES = ("C", "R", "M", "O")
-
 
 @dataclass(frozen=True)
 class MemoEntry:

@@ -2,7 +2,9 @@
 
 1. candidate exploration  → memo table         (``explore``)
 2. candidate selection    → materialization cut (``select_plans``)
-3. CPlan construction     → per-operator CPlans (``build_cplan``)
+3. CPlan construction     → per-operator CPlans (``build_cplan``, run
+   by selection for every candidate it costs; each selected fused spec
+   carries its CPlan)
 4. code generation + compile, with plan cache  (``compile_spoof``)
 5. plan execution — fused operators replace the covered DAG parts
    (we execute the operator list directly instead of rewriting the DAG;
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from repro.core import executor as ex
 from repro.core.codegen import PlanCache
 from repro.core.cost import CostModel, OpSpec, _step
-from repro.core.cplan import build_cplan
 from repro.core.explore import explore
 from repro.core.fused_lib import HandOp, plan_hand_fused
 from repro.core.hop import Hop, postorder
@@ -58,40 +59,25 @@ def compile_dag(
     policy: str = "cost",
     ctx: CodegenContext | None = None,
 ) -> CompiledPlan:
-    """Run exploration, selection, CPlan construction and code generation
-    for one HOP DAG under the given selection policy."""
+    """Run exploration, selection (which builds the CPlans) and code
+    generation for one HOP DAG under the given selection policy; the plan
+    runs exactly the operators selection costed."""
     ctx = ctx or CodegenContext()
     t0 = time.perf_counter()
     memo = explore(roots, prune_dominated=(policy != "cost"))
     sel = select_plans(memo, roots, policy=policy, cm=ctx.cost_model)
     spoofs: dict[int, SpoofOp] = {}
-    final_specs: list[OpSpec] = []
     pre_compile_ms = ctx.plan_cache.stats.compile_ms
     pre_hits = ctx.plan_cache.stats.hits
     pre_miss = ctx.plan_cache.stats.misses
-    produced = {r.hid for s in sel.specs for r in [s.root, *s.magg_roots]}
     for spec in sel.specs:
-        if spec.template is None or spec.n_covered <= 1:
-            final_specs.append(spec)
-            continue
-        try:
-            cplan = build_cplan(spec)
+        if spec.cplan is not None:
             ctx.stats.n_cplans += 1
             spoofs[spec.root.hid] = compile_spoof(
-                cplan, list(spec.input_hids), ctx.plan_cache
-            )
-            final_specs.append(spec)
-        except (ValueError, KeyError):
-            # defensive, counted fallback: execute the covered part as
-            # basic ops (the plan that runs is not the one costed), less
-            # the hops another operator produces
-            ctx.stats.n_fallbacks += 1
-            final_specs.extend(
-                _step(h, {h.hid: h}) for h in spec.covered.values()
-                if h is spec.root or h.hid not in produced
+                spec.cplan, list(spec.input_hids), ctx.plan_cache
             )
     order = {h.hid: i for i, h in enumerate(postorder(roots))}
-    final_specs.sort(key=lambda s: order[s.root.hid])
+    specs = sorted(sel.specs, key=lambda s: order[s.root.hid])
     dt = (time.perf_counter() - t0) * 1e3
     ctx.stats.n_dags += 1
     ctx.stats.codegen_ms += dt
@@ -101,7 +87,7 @@ def compile_dag(
     ctx.stats.plans_evaluated += sel.enum_stats.evaluated
     ctx.stats.plans_skipped += sel.enum_stats.skipped
     ctx.stats.search_space += sel.enum_stats.total_space
-    return CompiledPlan(roots=roots, specs=final_specs, spoofs=spoofs, selection=sel)
+    return CompiledPlan(roots=roots, specs=specs, spoofs=spoofs, selection=sel)
 
 
 def plan_basic(roots: list[Hop]) -> CompiledPlan:
@@ -181,12 +167,3 @@ def execute_plan(plan: CompiledPlan, bindings: dict, backend=LOCAL) -> list:
     out = [env[r.hid] for r in plan.roots]
     backend.release(list(env.values()), out + list(bindings.values()))
     return out
-
-
-def compile_and_execute(
-    roots: list[Hop],
-    bindings: dict,
-    policy: str = "cost",
-    ctx: CodegenContext | None = None,
-) -> list:
-    return execute_plan(compile_dag(roots, policy, ctx), bindings)

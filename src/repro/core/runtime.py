@@ -204,12 +204,8 @@ def _exec_rowwise(op: SpoofOp, vals: dict):
     sides = [vals[h] for h in cp.side_hids]
     # a side is read whole or by row blocks: decompress a CLA one once
     sides = [s.decompress() if isinstance(s, CLAMatrix) else s for s in sides]
-    whole = cp.meta.get("whole", False) or cp.main_hid < 0
-    if whole:
-        b = [vectlib._dense(s) for s in sides]
-        a = vals[cp.main_hid] if cp.main_hid >= 0 else None
-        out = op.fn(vectlib._dense(a) if not isinstance(a, CSR) else a, b)
-        return _finalize_row(cp, out)
+    if cp.main_hid < 0:  # no row-aligned input: one call over whole sides
+        return _finalize_row(cp, op.fn(None, [vectlib._dense(s) for s in sides]))
     main = vals[cp.main_hid]
     if isinstance(main, CLAMatrix):
         main = main.decompress()

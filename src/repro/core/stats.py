@@ -9,7 +9,6 @@ class CodegenStats:
     n_dags: int = 0          # optimized HOP DAGs (compile_dag calls)
     n_cplans: int = 0        # constructed CPlans
     n_compiled: int = 0      # compiled operator classes (plan-cache misses)
-    n_fallbacks: int = 0     # selected fused operators run as basic ops instead
     cache_hits: int = 0
     codegen_ms: float = 0.0  # total code generation time (explore+select+cplan)
     compile_ms: float = 0.0  # operator compilation time only
@@ -22,7 +21,6 @@ class CodegenStats:
             "dags": self.n_dags,
             "cplans": self.n_cplans,
             "compiled": self.n_compiled,
-            "fallbacks": self.n_fallbacks,
             "cache_hits": self.cache_hits,
             "codegen_ms": round(self.codegen_ms, 1),
             "compile_ms": round(self.compile_ms, 1),

