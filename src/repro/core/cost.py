@@ -279,7 +279,9 @@ class GroupDecisions:
     memoized under that part of the cut, encoded as a bitmask over the
     edges seen so far, so costing an assignment is a walk of memo hits
     that rebuilds only the groups whose relevant cut changed (the paper's
-    cost-vector reuse, §4.3). ``restrict_to``, ``choose`` and the cost
+    cost-vector reuse, §4.3). Different relevant cuts often expand a
+    group to the same candidate; each distinct candidate is costed, and
+    its CPlan built, once. ``restrict_to``, ``choose`` and the cost
     model are fixed for the object's lifetime."""
 
     def __init__(
@@ -299,6 +301,8 @@ class GroupDecisions:
         self._bit: dict[tuple[int, int], int] = {}  # cut edge -> bit
         self._rel: dict[int, int] = {}  # hid -> bits of its relevant edges
         self._memo: dict[tuple[int, int], OpSpec | None] = {}
+        # expansion -> that candidate costed (None: not an operator)
+        self._costed: dict[tuple, OpSpec | None] = {}
 
     def mask(self, cut: set[tuple[int, int]]) -> int:
         """``cut`` as a bitmask; an edge gets its bit when first seen."""
@@ -342,11 +346,9 @@ class GroupDecisions:
         best: OpSpec | None = None
         best_score: tuple | None = None
         for e in cands.values():
-            spec = _op_from_entry(memo, h, e, cut)
-            if (spec.n_covered <= 1 or violates_constraints(spec, cm)
-                    or _with_cplan(spec) is None):
+            spec = self._candidate(_op_from_entry(memo, h, e, cut))
+            if spec is None:
                 continue
-            spec.est_cost = op_cost(spec, cm, is_distributed(spec, cm))
             if self.choose == "cost":
                 score = (spec.est_cost,)
             else:
@@ -360,6 +362,26 @@ class GroupDecisions:
             best = _step(h, {h.hid: h})
             best.est_cost = op_cost(best, cm, is_distributed(best, cm))
         return best
+
+    def _candidate(self, spec: OpSpec) -> OpSpec | None:
+        """``spec`` with its CPlan and ``est_cost``, or None when it is not
+        a fused operator. A candidate is identified by its memo entries
+        (which live as long as ``self.memo``) and its inputs; a repeat
+        gets the spec costed first."""
+        key = (tuple((hid, id(e)) for hid, e in spec.entries.items()),
+               tuple(spec.input_hids))
+        try:
+            return self._costed[key]
+        except KeyError:
+            pass
+        cm = self.cm
+        if (spec.n_covered <= 1 or violates_constraints(spec, cm)
+                or _with_cplan(spec) is None):
+            spec = None
+        else:
+            spec.est_cost = op_cost(spec, cm, is_distributed(spec, cm))
+        self._costed[key] = spec
+        return spec
 
 
 def decompose(

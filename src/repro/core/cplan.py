@@ -52,18 +52,20 @@ def _topo_covered(spec: OpSpec) -> list[Hop]:
     """Topological order over covered hops (inputs before consumers)."""
     order: list[Hop] = []
     seen: set[int] = set()
-
-    def visit(h: Hop) -> None:
-        if h.hid in seen or h.hid not in spec.covered:
-            return
-        seen.add(h.hid)
-        for i in h.inputs:
-            visit(i)
-        order.append(h)
-
     for r in [spec.root] + spec.magg_roots:
-        visit(r)
+        _visit(r, spec.covered, seen, order)
     return order
+
+
+def _visit(h: Hop, covered: dict[int, Hop], seen: set[int], order: list[Hop]) -> None:
+    # module level: a nested recursive function is a reference cycle,
+    # left to the garbage collector after every build
+    if h.hid in seen or h.hid not in covered:
+        return
+    seen.add(h.hid)
+    for i in h.inputs:
+        _visit(i, covered, seen, order)
+    order.append(h)
 
 
 def _opening_outer_mm(spec: OpSpec) -> Hop | None:

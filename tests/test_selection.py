@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import hop as H
+from repro.core import cost as cost_mod
 from repro.core import enumerate as enum_mod
 from repro.core.cost import (
     CostModel,
@@ -307,3 +308,37 @@ def test_select_plans_same_with_unshared_coster(gen_dags, monkeypatch):
     monkeypatch.setattr(enum_mod, "PartitionCoster", Unshared)
     for roots, keys in zip(gen_dags, shared):
         assert _spec_keys(select_plans(explore(roots), roots, "cost")) == keys
+
+
+def test_selection_costs_each_candidate_once(gen_dags, monkeypatch):
+    """Cuts that expand a group to the same candidate (covered hops, memo
+    entries and inputs) share its costing: an enumeration over a
+    partition, and a heuristic policy's selection, each build a
+    candidate's CPlan once (the AutoEncoder's Gen compile on the
+    benchmark's mnist-cold inputs made 487 builds for 61 candidates
+    before)."""
+    built = []
+    orig = cost_mod.build_cplan
+
+    def counting(spec):
+        if not spec.magg_roots:  # combined multi-aggregates are built per cut
+            built.append((
+                tuple((hid, id(e)) for hid, e in spec.entries.items()),
+                tuple(spec.input_hids),
+            ))
+        return orig(spec)
+
+    monkeypatch.setattr(cost_mod, "build_cplan", counting)
+    total = 0
+    for roots in gen_dags:
+        memo = explore(roots)
+        for part in analyze_partitions(memo, roots):
+            built.clear()
+            mpskip_enum(memo, part, roots)
+            assert len(built) == len(set(built))
+            total += len(built)
+        for policy in ("fuse_all", "fuse_no_redundancy"):
+            built.clear()
+            select_plans(explore(roots, prune_dominated=True), roots, policy)
+            assert len(built) == len(set(built))
+    assert total > 0
