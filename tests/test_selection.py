@@ -314,9 +314,9 @@ def test_selection_costs_each_candidate_once(gen_dags, monkeypatch):
     """Cuts that expand a group to the same candidate (covered hops, memo
     entries and inputs) share its costing: an enumeration over a
     partition, and a heuristic policy's selection, each build a
-    candidate's CPlan once (the AutoEncoder's Gen compile on the
-    benchmark's mnist-cold inputs made 487 builds for 61 candidates
-    before)."""
+    candidate's CPlan once. Without that sharing, the AutoEncoder's Gen
+    compile on the benchmark's mnist-cold inputs made 487 builds for 61
+    candidates."""
     built = []
     orig = cost_mod.build_cplan
 
