@@ -31,7 +31,10 @@ BLOCKSIZE = 1024         # B_c: distributed Row constraint ncol <= B_c
 OUTER_RANK_MAX = 256     # Outer: common dim (rank) upper bound
 OUTER_MIN_DIM = 8        # Outer: both output dims at least this
 SPARSE_THRESHOLD = 0.4   # sparsity below which an input counts sparse
-ROW_RHS_MAX = 1024       # Row: rhs of fused matmult must be narrow
+ROW_RHS_MAX = 1024       # Row: rhs of fused t(X) %*% Y must be narrow
+# Row: a side matrix B read whole by X %*% B or Q %*% B must be skinny,
+# as SystemML's LibMatrixMult.isSkinnyRightHandSide (ncol(B) < 64)
+ROW_SIDE_MM_MAX = 64
 
 
 def sparse_drivers(h: Hop) -> list[Hop]:
@@ -115,11 +118,15 @@ class RowTpl:
         return h.ncols <= ROW_RHS_MAX
 
     @staticmethod
+    def _skinny(h: Hop) -> bool:
+        return h.ncols < ROW_SIDE_MM_MAX
+
+    @staticmethod
     def open(h: Hop) -> bool:
         if h.op == "ba(+*)":
             lhs, rhs = h.inputs
-            # X %*% v with narrow rhs: row template over X's rows
-            if not lhs.is_scalar and lhs.nrows > 1 and RowTpl._narrow(rhs):
+            # X %*% B with skinny side B: row template over X's rows
+            if not lhs.is_scalar and lhs.nrows > 1 and RowTpl._skinny(rhs):
                 return True
             # t(X) %*% Y: row template over X's rows (col_agg_B1_T)
             if lhs.op == "t" and RowTpl._narrow(rhs):
@@ -145,8 +152,8 @@ class RowTpl:
             return True
         if h.op == "ba(+*)":
             lhs, rhs = h.inputs
-            # fused row intermediate (at lhs) times narrow side input
-            if inp is lhs and RowTpl._narrow(rhs):
+            # fused row intermediate (at lhs) times skinny side input
+            if inp is lhs and RowTpl._skinny(rhs):
                 return True
             # t(X) %*% Q with the fused plan at Q (rhs): single pass over X
             if inp is rhs and lhs.op == "t" and RowTpl._narrow(rhs):

@@ -9,12 +9,14 @@ Modes map to the paper's systems: Base, Fused, Gen, Gen-FA, Gen-FNR.
 """
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
 
 from repro.algorithms import als_cg, autoencoder, glm, kmeans, l2svm, mlogreg
 from repro.algorithms.engine import MODES, Engine
+from repro.core.fused_lib import HandOp
 from repro.data import mldata
 from repro.lina.sparse import CSR
 
@@ -43,6 +45,47 @@ def format_rows(rows: list[dict], cols: list[str]) -> str:
         " | ".join(str(r.get(c, "")).ljust(widths[c]) for c in cols) for r in rows
     )
     return f"{line}\n{sep}\n{body}"
+
+
+def plan_signatures(jobs: dict, make_engine, modes) -> dict:
+    """Run each algorithm of ``jobs`` (name -> fn(engine) -> result dict)
+    once per mode on a fresh ``make_engine(mode)`` and return, per
+    algorithm and mode, the engine's plans in compile order: one string
+    per operator (a basic op's name, ``hand:<name>``, or
+    ``<template>/<variant>:<covered hops>:<source hash>``), with a hash of
+    the results and the plans MPSkipEnum evaluated. Two runs of the same
+    inputs differ exactly where a plan, a generated source or a result
+    bit differs."""
+    out: dict = {}
+    for name, fn in jobs.items():
+        out[name] = {}
+        for mode in modes:
+            eng = make_engine(mode)
+            res = fn(eng)
+            plans = []
+            for plan in eng._plans.values():
+                ops = []
+                for spec in plan.specs:
+                    op = plan.spoofs.get(spec.root.hid)
+                    if op is None:
+                        ops.append(spec.root.op)
+                    elif isinstance(op, HandOp):
+                        ops.append(f"hand:{op.name}")
+                    else:
+                        src = hashlib.sha256(op.src.encode()).hexdigest()[:16]
+                        ops.append(f"{op.cplan.template}/{op.cplan.variant}:"
+                                   f"{spec.n_covered}:{src}")
+                plans.append(ops)
+            h = hashlib.sha256()
+            for k in sorted(res):
+                v = np.ascontiguousarray(np.asarray(res[k], dtype=np.float64))
+                h.update(f"{k}{v.shape}".encode() + v.tobytes())
+            out[name][mode] = {
+                "plans": plans,
+                "result": h.hexdigest()[:16],
+                "plans_evaluated": eng.ctx.stats.plans_evaluated,
+            }
+    return out
 
 
 # ------------------------------------------------------- Table 3: overhead

@@ -83,13 +83,30 @@ def test_als_cg_all_modes():
 
 
 def test_autoencoder_all_modes():
-    n, m = 256, 30
-    X = mldata.dense_features(n, m, seed=7)
-    cfg = autoencoder.AutoEncoderConfig(h1=16, h2=2, batch=64, epochs=1)
-    traces = {
-        mode: autoencoder.run(Engine(mode), X, cfg)["losses"] for mode in MODES
-    }
-    _traces_close(traces)
+    # h1 = 16 keeps the layer products below the Row template's skinny-side
+    # bound (64 columns), h1 = 64 on 100 columns puts them above it
+    for m, h1 in ((30, 16), (100, 64)):
+        X = mldata.dense_features(256, m, seed=7)
+        cfg = autoencoder.AutoEncoderConfig(h1=h1, h2=2, batch=64, epochs=1)
+        traces = {
+            mode: autoencoder.run(Engine(mode), X, cfg)["losses"] for mode in MODES
+        }
+        _traces_close(traces)
+
+
+def test_autoencoder_fa_fuses_no_wide_side_multiply():
+    """FA must not recompute a layer product per row block: a Row operator
+    multiplies by a whole side matrix only if it has fewer than 64 columns
+    (SystemML's skinny right-hand side); ``t(X) %*% Y`` reads Y by rows."""
+    X = mldata.mnist_like(300, seed=10).to_dense()
+    e = Engine("gen_fa")
+    autoencoder.run(e, X, autoencoder.AutoEncoderConfig(h1=100, h2=2, batch=128))
+    rows = [s for p in e._plans.values() for s in p.specs if s.template == "R"]
+    assert rows
+    for s in rows:
+        for h in s.covered.values():
+            if h.op == "ba(+*)" and h.inputs[0].op != "t":
+                assert h.inputs[1].ncols < 64, (h, s.n_covered)
 
 
 def test_gen_actually_fuses_each_algorithm():

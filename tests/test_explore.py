@@ -201,3 +201,31 @@ def test_explore_idempotent_on_shared_subdags():
     memo = explore([r1.hop, r2.hop])
     assert memo.contains(sq.hop.hid)
     assert memo.contains(r1.hop.hid) and memo.contains(r2.hop.hid)
+
+
+# ------------------------------------------- Row: skinny side matrices only
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("ncol", [1, 63, 64, 200])
+def test_row_side_matmult_needs_skinny_side(ncol, scaled):
+    # SystemML's Row template fuses X %*% B and Q %*% B only for a skinny
+    # B (LibMatrixMult.isSkinnyRightHandSide: ncol(B) < 64)
+    X = H.var("X", 1000, 784)
+    W = H.var("W", 784, ncol)
+    lhs = X * 2 if scaled else X
+    mm = lhs @ W
+    memo = explore([mm.hop])
+    rows = [e for e in memo.entries(mm.hop.hid) if e.type == "R"]
+    assert bool(rows) is (ncol < 64)
+    if scaled:
+        assert any(e.has_ref(lhs.hop.hid) for e in rows) is (ncol < 64)
+
+
+def test_row_tmm_keeps_wide_row_aligned_rhs():
+    # t(A) %*% X reads X by rows, aligned with A: no skinny bound (KMeans)
+    A = H.var("A", 1000, 5)
+    X = H.var("X", 1000, 784)
+    mm = A.T @ X
+    memo = explore([mm.hop])
+    tx = mm.hop.inputs[0]
+    assert any(e.type == "R" and e.has_ref(tx.hid) and e.closed == CLOSED_VALID
+               for e in memo.entries(mm.hop.hid))
