@@ -9,8 +9,8 @@ results and the plans MPSkipEnum evaluated, on the inputs
 
 Run it on two checkouts and diff the outputs: a line differs exactly
 where a plan, a generated source or a result differs. The local
-workloads default to the three Gen policies; ``dist-40k`` starts a local
-SparkSession and defaults to all five modes.
+workloads run the three Gen policies; ``dist-40k`` starts a local
+SparkSession and runs all five modes.
 """
 import argparse
 import json
@@ -22,18 +22,21 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def main(argv=None) -> int:
+    src = str(ROOT / "src")
+    sys.path[:0] = [src, str(ROOT / "perfbench")]
+    from workloads import MODES, WORKLOADS
+
+    from repro.experiments import plan_signatures
+
     ap = argparse.ArgumentParser()
-    ap.add_argument("--workload", required=True,
-                    choices=("dense-250k", "mnist-cold", "dist-40k"))
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--modes", nargs="+",
-                    choices=("base", "fused", "gen", "fa", "fnr"))
     args = ap.parse_args(argv)
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     dist = args.workload == "dist-40k"
     if dist:
-        os.environ["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+        # the Spark workers import repro too
+        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        os.environ["PYTHONPATH"] = os.pathsep.join(paths)
         os.environ["PYSPARK_PYTHON"] = sys.executable
         os.environ.setdefault(
             "PYSPARK_SUBMIT_ARGS",
@@ -42,11 +45,7 @@ def main(argv=None) -> int:
             "--conf spark.driver.host=127.0.0.1 "
             "--conf spark.ui.enabled=false pyspark-shell",
         )
-    from workloads import MODES, WORKLOADS
-
-    from repro.experiments import plan_signatures
-
-    modes = args.modes or (list(MODES) if dist else ["gen", "fa", "fnr"])
+    modes = list(MODES) if dist else ["gen", "fa", "fnr"]
     wl = WORKLOADS[args.workload]()
     wl.start()
     try:

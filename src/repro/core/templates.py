@@ -34,7 +34,7 @@ SPARSE_THRESHOLD = 0.4   # sparsity below which an input counts sparse
 ROW_RHS_MAX = 1024       # Row: rhs of fused t(X) %*% Y must be narrow
 # Row: a side matrix B read whole by X %*% B or Q %*% B must be skinny,
 # as SystemML's LibMatrixMult.isSkinnyRightHandSide (ncol(B) < 64)
-ROW_SIDE_MM_MAX = 64
+ROW_SKINNY_COLS = 64
 
 
 def sparse_drivers(h: Hop) -> list[Hop]:
@@ -119,7 +119,7 @@ class RowTpl:
 
     @staticmethod
     def _skinny(h: Hop) -> bool:
-        return h.ncols < ROW_SIDE_MM_MAX
+        return h.ncols < ROW_SKINNY_COLS
 
     @staticmethod
     def open(h: Hop) -> bool:

@@ -2,10 +2,13 @@
 run the full-size versions; these verify structure and N/A handling)."""
 import numpy as np
 
+from repro.algorithms import l2svm
+from repro.algorithms.engine import Engine
 from repro.data import mldata
 from repro.experiments import (
     MODE_LABEL,
     format_rows,
+    plan_signatures,
     table3_rows,
     table4_rows,
     table5_rows,
@@ -58,3 +61,18 @@ def test_format_rows_renders_all_columns():
     lines = out.splitlines()
     assert len(lines) == 4
     assert "a" in lines[0] and "b" in lines[0]
+
+
+def test_plan_signatures_name_each_operator():
+    X = mldata.dense_features(400, 10, seed=1)
+    y = mldata.binary_labels(X)
+    jobs = {"L2SVM": lambda e: l2svm.run(e, X, y, l2svm.L2SVMConfig(max_iter=2))}
+    sig = plan_signatures(jobs, Engine, ("base", "fused", "gen"))["L2SVM"]
+    assert all(op.count(":") == 0 for p in sig["base"]["plans"] for op in p)
+    assert any(op.startswith("hand:") for p in sig["fused"]["plans"] for op in p)
+    fused = [op for p in sig["gen"]["plans"] for op in p if "/" in op]
+    assert fused and all(len(op.split(":")) == 3 for op in fused)
+    assert sig["gen"]["plans_evaluated"] > 0
+    assert sig["base"]["plans_evaluated"] == 0
+    # a second run of the same inputs reads the same
+    assert plan_signatures(jobs, Engine, ("gen",))["L2SVM"]["gen"] == sig["gen"]
