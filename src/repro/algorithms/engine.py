@@ -70,6 +70,10 @@ class Engine:
         value per root."""
         return self._run(exprs, bindings)
 
+    def release(self, *values) -> None:
+        """Drop values the driver no longer reads (SystemML's ``rmvar``):
+        nothing to do for local values."""
+
     def _run(self, exprs, bindings: dict):
         single = isinstance(exprs, (Expr, Hop))
         lst = [exprs] if single else list(exprs)

@@ -51,8 +51,10 @@ def run(engine, X, y, cfg: L2SVMConfig | None = None) -> dict:
         d = -np.asarray(g)
         gg = float(np.dot(d.ravel(), d.ravel()))
         if gg < cfg.eps:
+            engine.release(sv)
             break
         dd = engine(dd_e, {"X": X, "d": d, "sv": sv})
+        engine.release(sv)  # as wide as y: distributed with a distributed y
         step = gg / max(float(dd), cfg.eps)
         w = w + step * d
     return {"w": w, "objs": objs, "iters": len(objs)}

@@ -173,10 +173,6 @@ class PlanCache:
         self._cache[src] = fn
         return fn
 
-    def clear(self) -> None:
-        self._cache.clear()
-        self.stats = PlanCacheStats()
-
 
 def compile_source(src: str):
     """Compile a genexec source string into a callable (the janino-analogue

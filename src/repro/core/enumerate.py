@@ -34,8 +34,6 @@ from repro.core.partitions import CutSet, Partition, find_cut_sets, invalid_edge
 class EnumStats:
     evaluated: int = 0
     skipped: int = 0
-    total_space: int = 0
-    used_cut_set: bool = False
 
 
 def _bits(j: int, m: int) -> list[bool]:
@@ -122,7 +120,6 @@ def mpskip_enum(
     stats = stats if stats is not None else EnumStats()
     all_points = part.points
     m_all = len(all_points)
-    stats.total_space += 1 << min(m_all, 62)
     if m_all == 0:
         return []
 
@@ -182,7 +179,6 @@ def mpskip_enum(
                 c.score,
             )
             order = [*cs.point_idx, *cs.s1_idx, *cs.s2_idx]
-            stats.used_cut_set = True
             break
     best_q, _ = _enum_range(cost_fn, lb_fn, m, {}, stats, order, cs)
     return expand(best_q)

@@ -86,7 +86,6 @@ def compile_dag(
     ctx.stats.n_compiled += ctx.plan_cache.stats.misses - pre_miss
     ctx.stats.plans_evaluated += sel.enum_stats.evaluated
     ctx.stats.plans_skipped += sel.enum_stats.skipped
-    ctx.stats.search_space += sel.enum_stats.total_space
     return CompiledPlan(roots=roots, specs=specs, spoofs=spoofs, selection=sel)
 
 

@@ -14,16 +14,3 @@ class CodegenStats:
     compile_ms: float = 0.0  # operator compilation time only
     plans_evaluated: int = 0
     plans_skipped: int = 0
-    search_space: int = 0
-
-    def row(self) -> dict:
-        return {
-            "dags": self.n_dags,
-            "cplans": self.n_cplans,
-            "compiled": self.n_compiled,
-            "cache_hits": self.cache_hits,
-            "codegen_ms": round(self.codegen_ms, 1),
-            "compile_ms": round(self.compile_ms, 1),
-            "plans_evaluated": self.plans_evaluated,
-            "plans_skipped": self.plans_skipped,
-        }

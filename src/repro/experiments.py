@@ -1,9 +1,12 @@
 """Experiment harnesses reproducing the evaluation tables (paper §5).
 
-Each ``tableN_rows`` function runs the corresponding experiment at
-reduced scale (see DESIGN.md §4 for the size mapping) and returns one
-dict per printed row; ``format_rows`` renders them like the paper's
-tables so EXPERIMENTS.md can diff paper vs measured.
+Every table cell is a job, ``name -> fn(engine) -> result dict``, that
+``time_jobs`` times once per mode on a fresh engine. ``tableN_jobs``
+(Table 5: ``als_job``, ``ae_job``) build one dataset's jobs;
+``tableN_rows`` runs a table at reduced scale (DESIGN.md §4 maps the
+sizes) and returns one dict per printed row, which ``format_rows``
+renders like the paper's tables. ``benchmarks/bench_tables.py``
+measures the same jobs on smaller inputs.
 
 Modes map to the paper's systems: Base, Fused, Gen, Gen-FA, Gen-FNR.
 """
@@ -25,6 +28,9 @@ MODE_LABEL = {
     "gen_fa": "FA", "gen_fnr": "FNR",
 }
 
+# the data-intensive algorithms, in the tables' row order
+ALGOS = ("L2SVM", "MLogreg", "GLM", "KMeans")
+
 # dense-intermediate budget above which non-sparsity-exploiting modes are
 # infeasible (paper Table 5's N/A entries)
 NA_DENSE_BYTES = 1.5e9
@@ -35,6 +41,19 @@ def _time(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
+
+
+def time_jobs(jobs: dict, make_engine, modes, **row_key) -> list[dict]:
+    """One row per job: its name as ``algorithm``, ``row_key``, and per
+    mode the seconds one run takes on a fresh ``make_engine(mode)``."""
+    rows = []
+    for name, fn in jobs.items():
+        row = {"algorithm": name, **row_key}
+        for mode in modes:
+            eng = make_engine(mode)
+            row[MODE_LABEL[mode]] = round(_time(lambda: fn(eng)), 2)
+        rows.append(row)
+    return rows
 
 
 def format_rows(rows: list[dict], cols: list[str]) -> str:
@@ -88,49 +107,70 @@ def plan_signatures(jobs: dict, make_engine, modes) -> dict:
     return out
 
 
+# -------------------------------------------------------------------- jobs
+def data_jobs(X, y, y01, Y2, cfgs, Xk=None, init_C=None) -> dict:
+    """L2SVM on ±1 labels ``y``, MLogreg on a one-hot column ``Y2``, GLM on
+    0/1 labels ``y01`` (all on ``X``) and KMeans on ``Xk`` (default ``X``)
+    from ``init_C``, with ``cfgs`` their configs in that order."""
+    svm_cfg, mlr_cfg, glm_cfg, km_cfg = cfgs
+    Xk = X if Xk is None else Xk
+    return {
+        "L2SVM": lambda e: l2svm.run(e, X, y, svm_cfg),
+        "MLogreg": lambda e: mlogreg.run(e, X, Y2, mlr_cfg),
+        "GLM": lambda e: glm.run(e, X, y01, glm_cfg),
+        "KMeans": lambda e: kmeans.run(e, Xk, km_cfg, init_C=init_C),
+    }
+
+
+def _labels(X, w_seed: int, seed: int) -> list:
+    """``X``'s ±1 labels, the same as 0/1, and a one-hot class column."""
+    y = mldata.binary_labels(X, w_seed=w_seed)
+    Y2 = mldata.onehot_labels(X.shape[0], 2, seed=seed)[:, :1]
+    return [y, (y > 0).astype(np.float64), Y2]
+
+
+def als_job(X, max_iter: int = 3):
+    cfg = als_cg.ALSCGConfig(rank=20, max_iter=max_iter, max_inner=2)
+    return lambda e: als_cg.run(e, X, cfg)
+
+
+def ae_job(X, h1: int = 200):
+    cfg = autoencoder.AutoEncoderConfig(h1=h1, h2=2, batch=512, epochs=1)
+    return lambda e: autoencoder.run(e, X, cfg)
+
+
 # ------------------------------------------------------- Table 3: overhead
-def table3_rows(n_mnist: int = 6000) -> list[dict]:
-    """End-to-end compilation overhead per algorithm (paper Table 3):
-    total runtime, #compiled (DAGs/CPlans/operator classes), codegen and
-    operator-compile milliseconds — all under Gen on a Mnist60k-like
-    input."""
+def table3_jobs(n_mnist: int = 6000) -> dict:
+    """All six algorithms on a Mnist60k-like input (KMeans and the
+    AutoEncoder on its dense form), ALS-CG on Netflix-lite."""
     X = mldata.mnist_like(n_mnist, seed=0)
     Xd = X.to_dense()
-    y = mldata.binary_labels(X)
-    y01 = (y > 0).astype(np.float64)
-    Y2 = mldata.onehot_labels(X.shape[0], 2, seed=1)[:, :1]
-    runs = {
-        "L2SVM": lambda e: l2svm.run(e, X, y, l2svm.L2SVMConfig(max_iter=5)),
-        "MLogreg": lambda e: mlogreg.run(
-            e, X, Y2, mlogreg.MLogregConfig(k=2, max_iter=3, max_inner=3)
-        ),
-        "GLM": lambda e: glm.run(e, X, y01, glm.GLMConfig(max_iter=3, max_inner=3)),
-        "KMeans": lambda e: kmeans.run(e, Xd, kmeans.KMeansConfig(k=5, max_iter=3)),
-        "ALS-CG": lambda e: als_cg.run(
-            e,
-            mldata.netflix_like(2000, 1000, seed=2),
-            als_cg.ALSCGConfig(rank=20, max_iter=2, max_inner=2),
-        ),
-        "AutoEncoder": lambda e: autoencoder.run(
-            e, Xd[:2048], autoencoder.AutoEncoderConfig(h1=200, h2=2, batch=512)
-        ),
+    cfgs = (l2svm.L2SVMConfig(max_iter=5),
+            mlogreg.MLogregConfig(k=2, max_iter=3, max_inner=3),
+            glm.GLMConfig(max_iter=3, max_inner=3),
+            kmeans.KMeansConfig(k=5, max_iter=3))
+    return {
+        **data_jobs(X, *_labels(X, w_seed=1, seed=1), cfgs, Xk=Xd),
+        "ALS-CG": als_job(mldata.netflix_like(2000, 1000, seed=2), max_iter=2),
+        "AutoEncoder": ae_job(Xd[:2048]),
     }
+
+
+def table3_rows(n_mnist: int = 6000) -> list[dict]:
+    """End-to-end compilation overhead per algorithm under Gen (paper
+    Table 3): total runtime, #compiled (DAGs/CPlans/operator classes),
+    codegen and operator-compile milliseconds."""
     rows = []
-    for name, fn in runs.items():
+    for name, fn in table3_jobs(n_mnist).items():
         eng = Engine("gen")
         secs = _time(lambda: fn(eng))
         s = eng.ctx.stats
-        rows.append(
-            {
-                "algorithm": name,
-                "total_s": round(secs, 2),
-                "compile(dags/cplans/classes)": f"{s.n_dags}/{s.n_cplans}/{s.n_compiled}",
-                "codegen_ms": round(s.codegen_ms, 1),
-                "class_compile_ms": round(s.compile_ms, 2),
-                "cache_hits": s.cache_hits,
-                "plans_evaluated": s.plans_evaluated,
-            }
-        )
+        rows.append({
+            "algorithm": name, "total_s": round(secs, 2),
+            "compile(dags/cplans/classes)": f"{s.n_dags}/{s.n_cplans}/{s.n_compiled}",
+            "codegen_ms": round(s.codegen_ms, 1), "class_compile_ms": round(s.compile_ms, 2),
+            "cache_hits": s.cache_hits, "plans_evaluated": s.plans_evaluated,
+        })
     return rows
 
 
@@ -145,49 +185,23 @@ def table4_datasets() -> dict[str, object]:
     }
 
 
-def table4_rows(
-    modes: tuple[str, ...] = MODES,
-    datasets: dict | None = None,
-    iters: int = 5,
-) -> list[dict]:
-    """Runtime of data-intensive algorithms, single node (paper Table 4)."""
+def table4_jobs(X, iters: int = 5) -> dict:
+    half = max(2, iters // 2)
+    cfgs = (l2svm.L2SVMConfig(max_iter=iters),
+            mlogreg.MLogregConfig(k=2, max_iter=half, max_inner=3),
+            glm.GLMConfig(max_iter=half, max_inner=4),
+            kmeans.KMeansConfig(k=5, max_iter=iters))
+    return data_jobs(X, *_labels(X, w_seed=11, seed=12), cfgs)
+
+
+def table4_rows(modes: tuple[str, ...] = MODES, datasets: dict | None = None,
+                iters: int = 5) -> list[dict]:
+    """Runtime of data-intensive algorithms, single node (paper Table 4),
+    one row per algorithm and dataset, algorithm-major."""
     datasets = datasets or table4_datasets()
-    rows = []
-    for algo in ("L2SVM", "MLogreg", "GLM", "KMeans"):
-        for dname, X in datasets.items():
-            row = {"algorithm": algo, "data": dname}
-            y = mldata.binary_labels(X, w_seed=11)
-            y01 = (y > 0).astype(np.float64)
-            Y2 = mldata.onehot_labels(X.shape[0], 2, seed=12)[:, :1]
-            for mode in modes:
-                eng = Engine(mode)
-                if algo == "L2SVM":
-                    secs = _time(
-                        lambda: l2svm.run(eng, X, y, l2svm.L2SVMConfig(max_iter=iters))
-                    )
-                elif algo == "MLogreg":
-                    secs = _time(
-                        lambda: mlogreg.run(
-                            eng, X, Y2,
-                            mlogreg.MLogregConfig(k=2, max_iter=max(2, iters // 2), max_inner=3),
-                        )
-                    )
-                elif algo == "GLM":
-                    secs = _time(
-                        lambda: glm.run(
-                            eng, X, y01,
-                            glm.GLMConfig(max_iter=max(2, iters // 2), max_inner=4),
-                        )
-                    )
-                else:
-                    secs = _time(
-                        lambda: kmeans.run(
-                            eng, X, kmeans.KMeansConfig(k=5, max_iter=iters)
-                        )
-                    )
-                row[MODE_LABEL[mode]] = round(secs, 2)
-            rows.append(row)
-    return rows
+    jobs = {dname: table4_jobs(X, iters) for dname, X in datasets.items()}
+    return [row for algo in ALGOS for dname, js in jobs.items()
+            for row in time_jobs({algo: js[algo]}, Engine, modes, data=dname)]
 
 
 # ---------------------------------------- Table 5: compute-intensive algos
@@ -213,26 +227,13 @@ def table5_rows(modes: tuple[str, ...] = MODES) -> list[dict]:
     not fit, as in the paper), AutoEncoder on dense data."""
     rows = []
     for dname, X in table5_datasets().items():
-        row = {"algorithm": "ALS-CG", "data": dname}
-        cfg = als_cg.ALSCGConfig(rank=20, max_iter=3, max_inner=2)
-        dense_bytes = X.shape[0] * X.shape[1] * 8
-        for mode in modes:
-            if mode in ("base", "gen_fa", "gen_fnr") and dense_bytes > NA_DENSE_BYTES:
-                row[MODE_LABEL[mode]] = "N/A"
-                continue
-            eng = Engine(mode)
-            secs = _time(lambda: als_cg.run(eng, X, cfg))
-            row[MODE_LABEL[mode]] = round(secs, 2)
-        rows.append(row)
+        na = X.shape[0] * X.shape[1] * 8 > NA_DENSE_BYTES
+        ok = [m for m in modes if not (na and m in ("base", "gen_fa", "gen_fnr"))]
+        (row,) = time_jobs({"ALS-CG": als_job(X)}, Engine, ok, data=dname)
+        rows.append({**row, **{MODE_LABEL[m]: "N/A" for m in modes if m not in ok}})
     for dname, X in table5_ae_datasets().items():
-        row = {"algorithm": "AutoEncoder", "data": dname}
         h1 = 500 if X.shape[1] > 500 else 200  # paper: H1=500 on Mnist
-        cfg = autoencoder.AutoEncoderConfig(h1=h1, h2=2, batch=512, epochs=1)
-        for mode in modes:
-            eng = Engine(mode)
-            secs = _time(lambda: autoencoder.run(eng, X, cfg))
-            row[MODE_LABEL[mode]] = round(secs, 2)
-        rows.append(row)
+        rows += time_jobs({"AutoEncoder": ae_job(X, h1)}, Engine, modes, data=dname)
     return rows
 
 
@@ -245,72 +246,32 @@ def table6_datasets() -> dict[str, object]:
     }
 
 
-def table6_rows(
-    spark,
-    modes: tuple[str, ...] = MODES,
-    datasets: dict | None = None,
-    iters: int = 2,
-    block_rows: int = 8192,
-) -> list[dict]:
+def table6_jobs(spark, Xl, iters: int = 2, block_rows: int = 8192):
+    """Table 6's jobs over row-block DataFrame copies of ``Xl`` and its
+    labels, and those copies, which the caller unpersists."""
+    from repro.sparkdist.blocked import RowBlockMatrix
+
+    held = [RowBlockMatrix.from_matrix(spark, v, block_rows=block_rows).materialize()
+            for v in [Xl, *_labels(Xl, w_seed=18, seed=19)]]
+    init_C = Xl.row_slice(0, 5).to_dense() if isinstance(Xl, CSR) else Xl[:5].copy()
+    cfgs = (l2svm.L2SVMConfig(max_iter=iters),
+            mlogreg.MLogregConfig(k=2, max_iter=iters, max_inner=2),
+            glm.GLMConfig(max_iter=iters, max_inner=2),
+            kmeans.KMeansConfig(k=5, max_iter=iters))
+    return data_jobs(*held, cfgs, init_C=init_C), held
+
+
+def table6_rows(spark, modes: tuple[str, ...] = MODES, datasets: dict | None = None,
+                iters: int = 2, block_rows: int = 8192) -> list[dict]:
     """Runtime of distributed algorithms (paper Table 6): X and the label
     vectors live as row-block DataFrames; the engine collects results
     narrower than X (such as ``X %*% w``) to the driver."""
-    from repro.sparkdist.blocked import RowBlockMatrix
     from repro.sparkdist.executor import SparkEngine
 
-    datasets = datasets or table6_datasets()
     rows = []
-    for dname, Xl in datasets.items():
-        yl = mldata.binary_labels(Xl, w_seed=18)
-        y01 = (yl > 0).astype(np.float64)
-        Y2 = mldata.onehot_labels(Xl.shape[0], 2, seed=19)[:, :1]
-        if isinstance(Xl, CSR):
-            init_C = np.vstack(
-                [Xl.row_slice(i, i + 1).to_dense() for i in range(5)]
-            )
-        else:
-            init_C = Xl[:5].copy()
-        X = RowBlockMatrix.from_matrix(spark, Xl, block_rows=block_rows)
-        X.materialize()
-        yb = RowBlockMatrix.from_matrix(spark, yl, block_rows=block_rows)
-        yb.materialize()
-        y01b = RowBlockMatrix.from_matrix(spark, y01, block_rows=block_rows)
-        y01b.materialize()
-        Y2b = RowBlockMatrix.from_matrix(spark, Y2, block_rows=block_rows)
-        Y2b.materialize()
-        for algo in ("L2SVM", "MLogreg", "GLM", "KMeans"):
-            row = {"algorithm": algo, "data": dname}
-            for mode in modes:
-                eng = SparkEngine(spark, mode)
-                if algo == "L2SVM":
-                    secs = _time(
-                        lambda: l2svm.run(
-                            eng, X, yb, l2svm.L2SVMConfig(max_iter=iters)
-                        )
-                    )
-                elif algo == "MLogreg":
-                    secs = _time(
-                        lambda: mlogreg.run(
-                            eng, X, Y2b,
-                            mlogreg.MLogregConfig(k=2, max_iter=iters, max_inner=2),
-                        )
-                    )
-                elif algo == "GLM":
-                    secs = _time(
-                        lambda: glm.run(
-                            eng, X, y01b,
-                            glm.GLMConfig(max_iter=iters, max_inner=2),
-                        )
-                    )
-                else:
-                    secs = _time(
-                        lambda: kmeans.run(
-                            eng, X, kmeans.KMeansConfig(k=5, max_iter=iters),
-                            init_C=init_C,
-                        )
-                    )
-                row[MODE_LABEL[mode]] = round(secs, 2)
-            rows.append(row)
-        for rb in (X, yb, y01b, Y2b):
+    for dname, Xl in (datasets or table6_datasets()).items():
+        jobs, held = table6_jobs(spark, Xl, iters, block_rows)
+        rows += time_jobs(jobs, lambda m: SparkEngine(spark, m), modes, data=dname)
+        for rb in held:
             rb.unpersist()
     return rows

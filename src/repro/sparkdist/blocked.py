@@ -72,7 +72,6 @@ class RowBlockMatrix:
         spark: SparkSession,
         X,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-        n_partitions: int | None = None,
     ) -> "RowBlockMatrix":
         """Distribute a local dense ndarray or CSR row-wise."""
         if isinstance(X, CSR):
@@ -86,8 +85,6 @@ class RowBlockMatrix:
             for b, lo in enumerate(range(0, n, block_rows))
         ]
         df = spark.createDataFrame(rows, schema=BLOCK_SCHEMA)
-        if n_partitions:
-            df = df.repartition(n_partitions, "bid")
         return RowBlockMatrix(df, n, m, block_rows, sparsity=sp)
 
     # ---------------------------------------------------------- persistence

@@ -141,6 +141,12 @@ class SparkEngine(Engine):
     def __call__(self, exprs, bindings: dict):
         return self._run(exprs, bindings)
 
+    def release(self, *values) -> None:
+        """Unpersist the distributed values the driver no longer reads."""
+        for v in values:
+            if isinstance(v, RowBlockMatrix):
+                v.unpersist()
+
     def _execute_plan(self, plan: CompiledPlan, bindings: dict) -> list:
         backend = SparkBackend(self.spark, self.cm, single_reader(plan.roots))
         return execute_plan(plan, bindings, backend)

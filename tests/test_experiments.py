@@ -12,6 +12,7 @@ from repro.experiments import (
     table3_rows,
     table4_rows,
     table5_rows,
+    table6_rows,
 )
 
 
@@ -52,6 +53,20 @@ def test_table5_na_for_infeasible_dense_modes(monkeypatch):
     (row,) = rows
     assert row["Base"] == "N/A" and row["FA"] == "N/A" and row["FNR"] == "N/A"
     assert isinstance(row["Gen"], float) and isinstance(row["Fused"], float)
+
+
+def test_table6_structure_mini(spark):
+    """Four rows under Gen, and every DataFrame the run persisted is
+    unpersisted again, L2SVM's support vector included."""
+    def persisted():
+        return spark.sparkContext._jsc.sc().getPersistentRDDs().size()
+
+    before = persisted()
+    mini = {"tiny": mldata.dense_features(600, 6, seed=1)}
+    rows = table6_rows(spark, modes=("gen",), datasets=mini, iters=1, block_rows=256)
+    assert [r["algorithm"] for r in rows] == ["L2SVM", "MLogreg", "GLM", "KMeans"]
+    assert all(isinstance(r["Gen"], float) for r in rows)
+    assert persisted() == before
 
 
 def test_format_rows_renders_all_columns():
