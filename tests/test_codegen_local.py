@@ -1,12 +1,17 @@
 """End-to-end local codegen correctness: compile_dag + execute_plan must
 reproduce execute_base exactly, for every template, policy, and data
 representation — and must actually generate fused operators."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import hop as H
+from repro.core.codegen import PlanCache
+from repro.core.cplan import build_cplan
 from repro.core.executor import execute_base
 from repro.core.pipeline import CodegenContext, compile_dag, execute_plan
+from repro.core.runtime import _rows_per_block, compile_spoof
 from repro.lina.compressed import CLAMatrix
 from repro.lina.sparse import CSR
 
@@ -195,6 +200,68 @@ def test_row_rowagg_index():
     X, c = H.var("X", n, m), H.var("c", 1, m)
     expr = H.row_imins(X - c)
     _check(expr, {"X": _rand(n, m, 31), "c": _rand(1, m, 32)})
+
+
+# -------------------------------------------- skeletons over many row blocks
+M_BLK = 40
+N_BLK = 3 * _rows_per_block(M_BLK) + 17  # three full row blocks and a ragged one
+
+# case -> (roots over X, Y (N_BLK x M_BLK), V (M_BLK x 4), v (M_BLK x 1);
+#          the template and variant of the one fused operator they compile to)
+MULTI_BLOCK = {
+    "cell_no_agg": (lambda X, Y, V, v: [(X + Y) * 2.0 - X / (Y + 1.0)], "C", "no_agg"),
+    "cell_col_agg": (lambda X, Y, V, v: [H.col_sums(X * Y + 1.0)], "C", "col_agg"),
+    "cell_sum": (lambda X, Y, V, v: [H.sum_(X * Y * 2.0)], "M", "full_agg"),
+    "cell_max": (lambda X, Y, V, v: [H.max_(X * Y + 1.0)], "M", "full_agg"),
+    "cell_min": (lambda X, Y, V, v: [H.min_(X - Y)], "M", "full_agg"),
+    "magg": (lambda X, Y, V, v: [H.sum_(X * Y), H.max_(X * Y), H.min_(X + Y)], "M", "full_agg"),
+    "row_no_agg": (lambda X, Y, V, v: [(X @ V) * 2.0], "R", "no_agg"),
+    "row_row_agg": (lambda X, Y, V, v: [H.row_maxs(X @ V)], "R", "row_agg"),
+    "row_col_agg": (lambda X, Y, V, v: [H.col_sums(X @ V)], "R", "col_agg"),
+    "row_full_agg": (lambda X, Y, V, v: [H.sum_(X @ V)], "R", "full_agg"),
+    "row_col_agg_t": (lambda X, Y, V, v: [X.T @ (X @ v)], "R", "col_agg_t"),
+}
+
+
+def _multi_block_inputs():
+    n, m = N_BLK, M_BLK
+    hops = H.var("X", n, m), H.var("Y", n, m), H.var("V", m, 4), H.var("v", m, 1)
+    b = {"X": _rand(n, m, 60), "Y": _rand(n, m, 61), "V": _rand(m, 4, 62), "v": _rand(m, 1, 63)}
+    return hops, b
+
+
+def _assert_matches_base(roots, plan, b):
+    for r, g in zip(execute_base(roots, b), execute_plan(plan, b)):
+        np.testing.assert_allclose(g, r, rtol=1e-9)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("case", MULTI_BLOCK)
+def test_skeleton_over_row_blocks_matches_base(case, policy):
+    """Each block's partial and their combine (or stack) give Base's
+    result when the main input spans several cache-sized row blocks."""
+    build, template, variant = MULTI_BLOCK[case]
+    hops, b = _multi_block_inputs()
+    roots = [e.hop for e in build(*hops)]
+    plan = compile_dag(roots, policy=policy)
+    (spec,) = plan.specs  # one fused operator covers every root
+    cp = plan.spoofs[spec.root.hid].cplan
+    assert (cp.template, cp.variant, cp.n_outputs) == (template, variant, len(roots))
+    _assert_matches_base(roots, plan, b)
+
+
+def test_cell_row_agg_over_row_blocks_matches_base():
+    # the optimizer puts every dense rowSums into the Row template, so the
+    # Cell skeleton's dense row_agg runs the selected operator's cells as
+    # a Cell operator
+    (X, Y, V, v), b = _multi_block_inputs()
+    roots = [H.row_sums(X * Y + 1.0).hop]
+    plan = compile_dag(roots)
+    (spec,) = plan.specs
+    cp = build_cplan(replace(spec, template="C"))
+    assert (cp.template, cp.variant) == ("C", "row_agg")
+    plan.spoofs[spec.root.hid] = compile_spoof(cp, spec.input_hids, PlanCache())
+    _assert_matches_base(roots, plan, b)
 
 
 # ----------------------------------------------------------- Outer template

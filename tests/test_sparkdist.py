@@ -256,6 +256,37 @@ def test_fused_dist_sparse_main(spark):
     assert out == pytest.approx((xd * y).sum())
 
 
+def test_fused_magg_dist(spark):
+    n, m = 48, 9
+    x, y = _rand(n, m, 26), _rand(n, m, 27)
+    X, Y = H.var("X", n, m), H.var("Y", n, m)
+    plan = compile_dag([H.sum_(X * Y).hop, H.max_(X * Y).hop, H.min_(X + Y).hop], "cost")
+    (spec,) = plan.specs
+    assert spec.template == "M" and len(spec.magg_roots) == 2
+    b = {"X": x, "Y": y}
+    vals = {
+        hid: RowBlockMatrix.from_matrix(spark, b[spec.input_hops[hid].name], block_rows=BS)
+        for hid in spec.input_hids
+    }
+    out = execute_dist(spark, plan.spoofs[spec.root.hid], vals)
+    ref = execute_base([spec.root, *spec.magg_roots], b)
+    np.testing.assert_allclose(out, ref, rtol=1e-9)
+
+
+def test_fused_cell_colagg_dist(spark):
+    n, m = 48, 9
+    x, y = _rand(n, m, 28), _rand(n, m, 29)
+    X, Y = H.var("X", n, m), H.var("Y", n, m)
+    plan, spoof, spec = _compile_single(H.col_sums(X * Y + 1.0))
+    assert (spoof.cplan.template, spoof.cplan.variant) == ("C", "col_agg")
+    vals = {
+        hid: RowBlockMatrix.from_matrix(spark, {"X": x, "Y": y}[spec.input_hops[hid].name], block_rows=BS)
+        for hid in spec.input_hids
+    }
+    out = execute_dist(spark, spoof, vals)
+    np.testing.assert_allclose(out, (x * y + 1.0).sum(axis=0, keepdims=True), rtol=1e-9)
+
+
 # --------------------------------------------------------------- SparkEngine
 @pytest.mark.parametrize("mode", MODES)
 def test_engine_mmchain_all_modes(spark, mode):
