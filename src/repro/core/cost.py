@@ -54,8 +54,7 @@ class OpSpec:
     template: str | None
     covered: dict[int, Hop]          # hops computed inside this operator
     entries: dict[int, MemoEntry]    # chosen memo entry per covered hop
-    input_hids: list[int]            # materialized inputs (ordered, distinct)
-    input_hops: dict[int, Hop] = field(default_factory=dict)
+    input_hops: dict[int, Hop] = field(default_factory=dict)  # materialized inputs, ordered
     sparse_scale: float = 1.0        # sparsity-exploitation factor (<1 = exploiting)
     magg_roots: list[Hop] = field(default_factory=list)  # extra roots (multi-agg)
     est_cost: float | None = None    # op_cost when chosen by GroupDecisions
@@ -64,6 +63,10 @@ class OpSpec:
     @property
     def n_covered(self) -> int:
         return len(self.covered)
+
+    @property
+    def input_hids(self) -> list[int]:
+        return list(self.input_hops)
 
 
 # ------------------------------------------------------------------ FLOPs
@@ -149,7 +152,6 @@ def _op_from_entry(
         template=entry.type,
         covered=covered,
         entries=entries,
-        input_hids=[i.hid for i in inputs],
         input_hops={i.hid: i for i in inputs},
     )
 
@@ -178,7 +180,6 @@ def _step(root: Hop, covered: dict[int, Hop]) -> OpSpec:
         template=None,
         covered=covered,
         entries={},
-        input_hids=list(inputs),
         input_hops=inputs,
     )
 
@@ -369,7 +370,7 @@ class GroupDecisions:
         (which live as long as ``self.memo``) and its inputs; a repeat
         gets the spec costed first."""
         key = (tuple((hid, id(e)) for hid, e in spec.entries.items()),
-               tuple(spec.input_hids))
+               tuple(spec.input_hops))
         try:
             return self._costed[key]
         except KeyError:
@@ -451,7 +452,6 @@ def combine_multi_aggregates(specs: list[OpSpec]) -> list[OpSpec]:
             template="M",
             covered=dict(group[0].covered),
             entries=dict(group[0].entries),
-            input_hids=list(group[0].input_hids),
             input_hops=dict(group[0].input_hops),
             magg_roots=list(group[0].magg_roots),
         )
@@ -459,9 +459,7 @@ def combine_multi_aggregates(specs: list[OpSpec]) -> list[OpSpec]:
             head.covered.update(other.covered)
             head.entries.update(other.entries)
             for hid_, hop_ in other.input_hops.items():
-                if hid_ not in head.input_hops:
-                    head.input_hids.append(hid_)
-                    head.input_hops[hid_] = hop_
+                head.input_hops.setdefault(hid_, hop_)
             head.magg_roots.append(other.root)
         combined.append(_with_cplan(head))
     return rest + combined
@@ -493,13 +491,8 @@ class PartitionCoster:
         }
         self.start = set(part.roots) | forced
         self.decisions = GroupDecisions(memo, dag_roots, part.nodes, "cost", self.cm)
-        self._cache: dict[frozenset, float] = {}
 
     def cost(self, cut: set[tuple[int, int]]) -> float:
-        key = frozenset(cut)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         specs = combine_multi_aggregates(decompose(self.decisions, cut, self.start))
         total = 0.0
         for s in specs:
@@ -512,7 +505,6 @@ class PartitionCoster:
             if c is None:
                 c = op_cost(s, self.cm, is_distributed(s, self.cm))
             total += c
-        self._cache[key] = total
         return total
 
 

@@ -30,14 +30,17 @@ class CPlan:
     side_hids: list[int]          # remaining inputs, stable order
     input_hops: dict[int, Hop]
     sparse_safe: bool
-    agg_fn: str | None            # 'sum'/'max'/'min' for (multi-)aggregates
     magg_roots: list[Hop] = field(default_factory=list)
-    magg_agg_fns: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     @property
     def n_outputs(self) -> int:
         return 1 + len(self.magg_roots)
+
+    @property
+    def agg_fns(self) -> list[str]:
+        """Per output, the 'sum'/'max'/'min' its partials combine by."""
+        return [FULL_AGG_FN.get(r.op, "sum") for r in (self.root, *self.magg_roots)]
 
     @property
     def sparse_scale(self) -> float:
@@ -91,20 +94,21 @@ def build_cplan(spec: OpSpec) -> CPlan | None:
     root = spec.root
     t = spec.template
 
-    variant, agg_fn = "no_agg", None
+    variant = "no_agg"
     main_hid = -1
     meta: dict = {}
     sparse_safe = t == "O"
 
     if t in ("C", "M"):
         if root.op in FULL_AGG_FN:
-            variant, agg_fn = "full_agg", FULL_AGG_FN[root.op]
+            variant = "full_agg"
         elif root.op == "ua(R+)":
-            variant, agg_fn = "row_agg", "sum"
+            variant = "row_agg"
         elif root.op == "ua(C+)":
-            variant, agg_fn = "col_agg", "sum"
+            variant = "col_agg"
         # main: sparse driver if present, else largest matrix input; the
         # skeleton may skip its zeros only if every root's cells are 0 there
+        # and every aggregate is a sum (``sparse_safe_chain``)
         mats = [h for h in spec.input_hops.values() if h.is_matrix or h.is_vector]
         cells = {(r.inputs[0] if r.op.startswith("ua(") else r).hid
                  for r in [root, *spec.magg_roots]}
@@ -118,7 +122,6 @@ def build_cplan(spec: OpSpec) -> CPlan | None:
         sparse_safe = (
             main_hid in {h.hid for h in feeds}
             and variant in ("full_agg", "no_agg", "row_agg")
-            and agg_fn in (None, "sum")
         )
 
     elif t == "R":
@@ -127,9 +130,9 @@ def build_cplan(spec: OpSpec) -> CPlan | None:
             variant = "col_agg_t"
             tx_child = root.inputs[0].inputs[0]
         elif root.op == "ua(C+)":
-            variant, agg_fn = "col_agg", "sum"
+            variant = "col_agg"
         elif root.op in FULL_AGG_FN:
-            variant, agg_fn = "full_agg", FULL_AGG_FN[root.op]
+            variant = "full_agg"
         elif root.op in ROW_AGGS:
             variant = "row_agg"
         elif root.op == "t":
@@ -216,13 +219,9 @@ def build_cplan(spec: OpSpec) -> CPlan | None:
             variant = "right_mm"
             meta["right_hid"] = root.inputs[1].hid
         elif root.op in FULL_AGG_FN:
-            variant, agg_fn = "full_agg", FULL_AGG_FN[root.op]
+            variant = "full_agg"
 
     side_hids = [h for h in spec.input_hids if h != main_hid]
-    magg_fns = []
-    for r in spec.magg_roots:
-        magg_fns.append(FULL_AGG_FN.get(r.op, "sum"))
-
     return CPlan(
         template=t,
         variant=variant,
@@ -232,8 +231,6 @@ def build_cplan(spec: OpSpec) -> CPlan | None:
         side_hids=side_hids,
         input_hops=dict(spec.input_hops),
         sparse_safe=sparse_safe,
-        agg_fn=agg_fn,
         magg_roots=list(spec.magg_roots),
-        magg_agg_fns=magg_fns,
         meta=meta,
     )

@@ -62,7 +62,7 @@ def _binding(h: Hop, template: str, variant: str, x: Hop, aligned=(), whole=()):
     if any(s.hid in whole_hids for s in aligned):
         return None
     sides = [s.hid for s in [*whole, *aligned] if s.hid != x.hid]
-    return CPlan(template, variant, h, [], x.hid, sides, {}, False, "sum",
+    return CPlan(template, variant, h, [], x.hid, sides, {}, False,
                  meta={"whole_sides": whole_hids})
 
 

@@ -74,7 +74,7 @@ def compile_dag(
         if spec.cplan is not None:
             ctx.stats.n_cplans += 1
             spoofs[spec.root.hid] = compile_spoof(
-                spec.cplan, list(spec.input_hids), ctx.plan_cache
+                spec.cplan, spec.input_hids, ctx.plan_cache
             )
     order = {h.hid: i for i, h in enumerate(postorder(roots))}
     specs = sorted(sel.specs, key=lambda s: order[s.root.hid])

@@ -5,8 +5,11 @@ generated. Hand-coded skeletons own the dense / sparse / compressed
 access paths, cache blocking, and aggregation variants; generated
 operators only provide ``genexec``. Here:
 
-* dense inputs are processed in row blocks sized to stay cache-resident
-  (the JVM skeletons' cache blocking);
+* dense Cell, MAgg and Row operators run through one loop,
+  ``_row_blocks``, over row blocks sized to stay cache-resident (the JVM
+  skeletons' cache blocking): the template gives each block's partial,
+  and ``combine_fn`` says how partials combine, here and in Spark's
+  fused pass (``sparkdist.fusedexec``);
 * sparse-safe operators iterate the non-zero values of the sparse main
   input only, with side inputs gathered via ``CSR.gather``/fancy
   indexing (the ``getValue`` abstraction);
@@ -52,13 +55,6 @@ def aligned(v, n: int) -> bool:
 def row_block(v, lo: int, hi: int):
     """Rows [lo, hi) of a dense or CSR matrix."""
     return v.row_slice(lo, hi) if isinstance(v, CSR) else v[lo:hi]
-
-
-def _slice_side(s, lo: int, hi: int, n: int):
-    """Row-align a side input for a dense block [lo, hi)."""
-    if isinstance(s, CLAMatrix):
-        s = s.decompress()
-    return row_block(s, lo, hi) if aligned(s, n) else s
 
 
 def _gather_side(s, rixv, cixv, n: int, m: int):
@@ -166,73 +162,69 @@ def _exec_cellwise(op: SpoofOp, vals: dict):
     if isinstance(main, CSR):
         main = main.to_dense()
 
-    # ---- dense path with cache-blocked row iteration --------------------
-    n, m = main.shape
-    bs = _rows_per_block(m)
-    accs: list = [None] * n_out
-    parts: list[list] = [[] for _ in range(n_out)]
-    agg_fns = [cp.agg_fn] + cp.magg_agg_fns if cp.agg_fn else [None] * n_out
+    # ---- dense path: each block's cells reduced by each root's aggregate
+    aggs = [vectlib.AGG.get(r.op, np.asarray) for r in (cp.root, *cp.magg_roots)]
+
+    def block(a, b):
+        res = op.fn(a, b)
+        parts = tuple(f(vectlib._dense(w)) for f, w in zip(aggs, res if n_out > 1 else (res,)))
+        return parts if n_out > 1 else parts[0]
+
+    out = _row_blocks(cp, main, sides, block)
+    if cp.variant != "full_agg":
+        return out
+    return [float(v) for v in out] if n_out > 1 else float(out)
+
+
+def combine_fn(cp: CPlan):
+    """How an operator's row-block partials combine: None when they are
+    stacked (no_agg, row_agg), else each output's ``vectlib.COMBINE``,
+    applied per output to the tuples of a multi-aggregate. The local
+    skeletons and Spark's fused pass both take it from here."""
+    if cp.variant in ("no_agg", "row_agg"):
+        return None
+    fns = [vectlib.COMBINE[f] for f in cp.agg_fns]
+    if len(fns) == 1:
+        return fns[0]
+    return lambda a, b: tuple(f(x, y) for f, x, y in zip(fns, a, b))
+
+
+def _row_blocks(cp: CPlan, main, sides: list, block):
+    """The one dense skeleton loop: ``block(rows, sides)`` gives the
+    partial of each cache-sized row block of ``main``, its sides read by
+    the block's rows or, for ``whole_sides``, whole; the partials are
+    combined by ``combine_fn`` or stacked."""
+    n = main.shape[0]
+    bs = _rows_per_block(main.shape[1])
+    whole = cp.meta.get("whole_sides", set())
+    # a side is read whole or by row blocks: decompress a CLA one once
+    sides = [s.decompress() if isinstance(s, CLAMatrix) else s for s in sides]
+    combine = combine_fn(cp)
+    acc, parts = None, []
     for lo in range(0, n, bs):
         hi = min(n, lo + bs)
-        b = [_slice_side(s, lo, hi, n) for s in sides]
-        res = op.fn(main[lo:hi], b)
-        results = res if n_out > 1 else (res,)
-        for k, w in enumerate(map(vectlib._dense, results)):  # CSR after a CSR side
-            if cp.variant == "full_agg":
-                fn = vectlib.COMBINE[agg_fns[k] or "sum"]
-                v = fn.reduce(w, axis=None)
-                accs[k] = v if accs[k] is None else fn(accs[k], v)
-            elif cp.variant == "row_agg":
-                parts[k].append(vectlib.row_sums(w))
-            elif cp.variant == "col_agg":
-                v = vectlib.col_sums(w)
-                accs[k] = v if accs[k] is None else accs[k] + v
-            else:
-                parts[k].append(np.asarray(w))
-    outs = []
-    for k in range(n_out):
-        if cp.variant in ("full_agg", "col_agg"):
-            outs.append(float(accs[k]) if cp.variant == "full_agg" else accs[k])
+        b = [
+            row_block(s, lo, hi) if hid not in whole and aligned(s, n) else s
+            for hid, s in zip(cp.side_hids, sides)
+        ]
+        p = block(row_block(main, lo, hi), b)
+        if combine is None:
+            parts.append(p)
         else:
-            outs.append(np.vstack(parts[k]))
-    return outs[0] if n_out == 1 else outs
+            acc = p if acc is None else combine(acc, p)
+    return np.vstack(parts) if combine is None else acc
 
 
 # ------------------------------------------------------------------- Row
 def _exec_rowwise(op: SpoofOp, vals: dict):
     cp = op.cplan
     sides = [vals[h] for h in cp.side_hids]
-    # a side is read whole or by row blocks: decompress a CLA one once
-    sides = [s.decompress() if isinstance(s, CLAMatrix) else s for s in sides]
     if cp.main_hid < 0:  # no row-aligned input: one call over whole sides
         return _finalize_row(cp, op.fn(None, [vectlib._dense(s) for s in sides]))
     main = vals[cp.main_hid]
     if isinstance(main, CLAMatrix):
         main = main.decompress()
-    n = main.shape[0]
-    m = main.shape[1]
-    bs = _rows_per_block(m)
-    whole_sides = cp.meta.get("whole_sides", set())
-    acc = None
-    parts: list = []
-    for lo in range(0, n, bs):
-        hi = min(n, lo + bs)
-        a = row_block(main, lo, hi)
-        b = [
-            s if hid in whole_sides else _slice_side(s, lo, hi, n)
-            for hid, s in zip(cp.side_hids, sides)
-        ]
-        w = op.fn(a, b)
-        if isinstance(w, CSR):
-            w = w.to_dense()
-        if cp.variant in ("col_agg", "col_agg_t"):
-            acc = w if acc is None else acc + w
-        elif cp.variant == "full_agg":
-            fn = vectlib.COMBINE[cp.agg_fn or "sum"]
-            acc = w if acc is None else fn(acc, w)
-        else:
-            parts.append(np.asarray(w))
-    out = acc if acc is not None else np.vstack(parts)
+    out = _row_blocks(cp, main, sides, lambda a, b: vectlib._dense(op.fn(a, b)))
     return _finalize_row(cp, out)
 
 

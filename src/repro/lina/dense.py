@@ -15,7 +15,3 @@ def size_bytes(nrows: int, ncols: int, sparsity: float = 1.0) -> float:
     if sparsity >= 0.4 or ncols <= 1:  # SystemML-like dense/sparse format cutover
         return float(nrows) * ncols * DOUBLE_BYTES
     return float(nrows) * ncols * sparsity * 2 * DOUBLE_BYTES
-
-
-def is_vector(shape: tuple[int, int]) -> bool:
-    return shape[0] == 1 or shape[1] == 1

@@ -19,13 +19,14 @@ runs through:
 * no_agg/row_agg variants return a new, unmaterialized distributed
   matrix for the caller to place (a pending map without distributed
   sides); col/full aggregates combine per-partition partials on the
-  driver.
+  driver by the operator's ``runtime.combine_fn``, the combine of the
+  local skeletons' one row-block loop.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import vectlib as vl
+from repro.core.runtime import combine_fn
 from repro.lina.sparse import CSR
 from repro.sparkdist.blocked import RowBlockMatrix
 from repro.sparkdist.ops import WHOLE, block_pass, broadcast_value
@@ -51,7 +52,8 @@ def execute_dist(spark, op, values: dict[int, object]):
     def block_exec(*blks) -> object:
         return bc_op.value.execute([blks[i] for i in order])
 
-    if cp.variant in ("no_agg", "row_agg"):
+    combine = combine_fn(cp)
+    if combine is None:
         def block_out(*blks):
             r = block_exec(*blks)
             return r if isinstance(r, CSR) else np.atleast_2d(np.asarray(r))
@@ -60,16 +62,8 @@ def execute_dist(spark, op, values: dict[int, object]):
         return block_pass(spark, main, sides, block_out, ncols)
 
     # aggregate variants: partial per partition, combined on the driver
-    n_out = cp.n_outputs
-    fns = [cp.agg_fn or "sum"] + (cp.magg_agg_fns if cp.magg_roots else [])
-
-    def combine(a, b):
-        if n_out > 1:
-            return tuple(vl.COMBINE[f](x, y) for f, x, y in zip(fns, a, b))
-        return vl.COMBINE[fns[0]](a, b)
-
     acc = block_pass(spark, main, sides, block_exec, combine=combine)
-    if n_out > 1:
+    if cp.n_outputs > 1:
         return list(acc)
     if cp.variant == "full_agg":
         return float(acc)

@@ -20,7 +20,6 @@ def _basic_spec(h):
     inputs = [i for i in h.inputs if i.op != "lit"]
     return OpSpec(
         root=h, template=None, covered={h.hid: h}, entries={},
-        input_hids=[i.hid for i in inputs],
         input_hops={i.hid: i for i in inputs},
     )
 
@@ -63,14 +62,14 @@ def test_sparse_scale_reduces_cost():
     spec = OpSpec(
         root=w.hop, template="O",
         covered={w.hop.hid: w.hop, mm.hop.hid: mm.hop},
-        entries={}, input_hids=[X.hop.hid, U.hop.hid],
+        entries={},
         input_hops={X.hop.hid: X.hop, U.hop.hid: U.hop},
         sparse_scale=0.01,
     )
     dense_spec = OpSpec(
         root=w.hop, template="C",
         covered=dict(spec.covered), entries={},
-        input_hids=list(spec.input_hids), input_hops=dict(spec.input_hops),
+        input_hops=dict(spec.input_hops),
         sparse_scale=1.0,
     )
     assert op_cost(spec, cm) < op_cost(dense_spec, cm) / 10
@@ -113,7 +112,7 @@ def test_row_blocksize_constraint_distributed_only():
     wide = H.var("X", 10**6, 5000)  # ncol > blocksize(1024), huge input
     spec = OpSpec(
         root=H.row_sums(wide).hop, template="R",
-        covered={}, entries={}, input_hids=[wide.hop.hid],
+        covered={}, entries={},
         input_hops={wide.hop.hid: wide.hop},
     )
     spec.covered = {spec.root.hid: spec.root}
@@ -121,7 +120,7 @@ def test_row_blocksize_constraint_distributed_only():
     narrow = H.var("Y", 10**6, 100)
     spec2 = OpSpec(
         root=H.row_sums(narrow).hop, template="R",
-        covered={}, entries={}, input_hids=[narrow.hop.hid],
+        covered={}, entries={},
         input_hops={narrow.hop.hid: narrow.hop},
     )
     spec2.covered = {spec2.root.hid: spec2.root}
