@@ -166,7 +166,7 @@ def _exec_cellwise(op: SpoofOp, vals: dict):
     aggs = [vectlib.AGG.get(r.op, np.asarray) for r in (cp.root, *cp.magg_roots)]
 
     def block(a, b):
-        res = op.fn(a, b)
+        res = op.fn(a, b)  # a CSR after a CSR side: densified per output
         parts = tuple(f(vectlib._dense(w)) for f, w in zip(aggs, res if n_out > 1 else (res,)))
         return parts if n_out > 1 else parts[0]
 
