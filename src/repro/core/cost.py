@@ -409,8 +409,8 @@ def decompose(
         if spec is None:
             continue
         specs.append(spec)
-        for i in spec.input_hids:
-            if i not in done and spec.input_hops[i].op not in ("leaf", "lit"):
+        for i, inp in spec.input_hops.items():
+            if i not in done and inp.op not in ("leaf", "lit"):
                 worklist.append(i)
     return specs
 
@@ -431,13 +431,13 @@ def combine_multi_aggregates(specs: list[OpSpec]) -> list[OpSpec]:
             if j in used or len(group) >= 3:
                 continue
             b = maggs[j]
-            share = set(a.input_hids) & set(b.input_hids)
+            share = a.input_hops.keys() & b.input_hops.keys()
             leaf_share = {
                 h
                 for s in group
-                for h in s.input_hids
-                if s.input_hops[h].op == "leaf"
-            } & set(b.input_hids)
+                for h, inp in s.input_hops.items()
+                if inp.op == "leaf"
+            } & b.input_hops.keys()
             if share or leaf_share:
                 group.append(b)
                 used.add(j)
